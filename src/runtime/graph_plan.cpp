@@ -383,30 +383,29 @@ Status FrameExec::RunKernelStage(const GraphPlan::Stage& stage) {
   launch.programs = ck.bytecode.get();
   launch.epoch = epoch_;
 
-  const bool host_ok =
-      options.executor != GraphOptions::Executor::kSimulator &&
-      ck.bytecode != nullptr &&
-      HostExecSupports(*ck.bytecode, launch.width, launch.height,
-                       ck.device_ir.bh_window.half_x,
-                       ck.device_ir.bh_window.half_y);
-  if (options.executor == GraphOptions::Executor::kHost && !host_ok)
-    return Status::Unimplemented(
-        "stage '" + stage.name +
-        "' is not supported by the host executor (GraphOptions::Executor::"
-        "kHost)");
-  if (host_ok) {
+  if (options.executor != GraphOptions::Executor::kSimulator &&
+      ck.bytecode != nullptr) {
     // Inside a multi-worker schedule each stage runs its rows serially —
     // the DAG branches (and, when streaming, the overlapped frames) are the
     // parallelism; a lone worker hands the row loop all cores instead.
     HostExecOptions exec_options;
     exec_options.threads = options.workers == 1 ? 0 : 1;
-    HIPACC_RETURN_IF_ERROR(RunOnHost(launch, ck.device_ir.bh_window.half_x,
-                                     ck.device_ir.bh_window.half_y,
-                                     exec_options));
-    if (plan_.trace != nullptr)
-      plan_.trace->IncrementCounter("graph.launches.host");
-    return Status::Ok();
+    // Unimplemented means the host executor declined before writing any
+    // output: fall through to the simulator (or the kHost error below).
+    const Status host = RunOnHost(launch, ck.device_ir.bh_window.half_x,
+                                  ck.device_ir.bh_window.half_y, exec_options);
+    if (host.ok()) {
+      if (plan_.trace != nullptr)
+        plan_.trace->IncrementCounter("graph.launches.host");
+      return Status::Ok();
+    }
+    if (host.code() != StatusCode::kUnimplemented) return host;
   }
+  if (options.executor == GraphOptions::Executor::kHost)
+    return Status::Unimplemented(
+        "stage '" + stage.name +
+        "' is not supported by the host executor (GraphOptions::Executor::"
+        "kHost)");
   sim::Simulator simulator(options.run.device, options.run.sim_options());
   Result<sim::LaunchStats> stats = simulator.Execute(launch);
   if (!stats.ok()) return stats.status();

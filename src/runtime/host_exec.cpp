@@ -1,7 +1,10 @@
 #include "runtime/host_exec.hpp"
 
-#include <atomic>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dsl/boundary.hpp"
@@ -42,10 +45,35 @@ struct MaskBind {
   int width = 1;
 };
 
+/// Constant-mask read at (x, y), 0 outside the mask like the VM.
+float MaskValue(const MaskBind& mb, int x, int y) {
+  const std::size_t addr = static_cast<std::size_t>(y) * mb.width + x;
+  return addr < mb.data->size() ? (*mb.data)[addr] : 0.0f;
+}
+
 struct ParamFill {
   std::uint16_t reg = 0;
   ScalarType type = ScalarType::kFloat;
   double value = 0.0;
+};
+
+/// One instruction of the host stream a launch lowers each region program
+/// into (see Lower): a bytecode instruction run as the VM runs it, or a
+/// fused convolution tap `acc += coeff * image(gid + off)`.
+struct HostInsn {
+  const Insn* insn = nullptr;  ///< the instruction; for a tap, its image load
+  std::int32_t jump = -1;      ///< branch target, renumbered into the stream
+  bool tap = false;
+  std::uint16_t acc = 0;  ///< tap: accumulator register
+  float coeff = 0.0f;     ///< tap: mask coefficient, read at lowering
+};
+
+/// A region program lowered for one launch.
+struct HostProgram {
+  std::vector<HostInsn> code;
+  std::vector<ParamFill> seeds;  // floats pre-rounded like the VM's ParamFill
+  int num_regs = 0;
+  int num_masks = 1;
 };
 
 // Lane loops templated on the operator, mirroring vm.cpp: the per-lane
@@ -58,16 +86,38 @@ void BinaryLanes(const double* a, const double* b, double* d, int n) {
     d[l] = sim::EvalBinaryLane(op, float_math, a[l], b[l]);
 }
 
-template <AssignOp op, bool float_math>
+template <AssignOp op, bool float_math, bool all>
 void AssignLanes(const double* s, double* d, const std::uint8_t* mk,
                  ScalarType to, bool convert, int n) {
   constexpr ScalarType kFolded =
       float_math ? ScalarType::kFloat : ScalarType::kInt;
   for (int l = 0; l < n; ++l) {
-    if (!mk[l]) continue;
+    if (!all && !mk[l]) continue;
     const double rhs = convert ? sim::ConvertLaneValue(s[l], to) : s[l];
     d[l] = sim::CombineLane(kFolded, op, d[l], rhs);
   }
+}
+
+/// One lane of a fused tap: the VM's float kMul of the two loaded values,
+/// then its float kAddAssign into the accumulator, rounded exactly as there.
+/// Lowering never fuses a NaN coefficient, so operand order cannot pick a
+/// different NaN payload.
+inline double TapLane(double acc, float coeff, float px) {
+  return sim::CombineLane(ScalarType::kFloat, AssignOp::kAddAssign, acc,
+                          static_cast<double>(coeff * px));
+}
+
+/// Calls `body(std::true_type{})` for mask slot 0 and
+/// `body(std::false_type{})` otherwise. Slot 0 is the chunk's active mask:
+/// every lane of the chunk, since Validate rejects programs that write it.
+/// Lane loops under it therefore skip the per-lane predicate, and the
+/// mask-free instantiation vectorises.
+template <class Body>
+void ForMask(std::uint16_t mask, Body&& body) {
+  if (mask == 0)
+    body(std::true_type{});
+  else
+    body(std::false_type{});
 }
 
 bool AnyActive(const std::uint8_t* mk, int n) {
@@ -91,13 +141,13 @@ HostScratch& ThreadScratch() {
 }
 
 /// Everything resolved once per launch and shared read-only by the row
-/// workers: buffer/mask bindings in program index order and per-program
-/// scalar seeds (floats pre-rounded exactly like the VM's ParamFill).
+/// workers: buffer/mask bindings in program index order and the lowered
+/// programs.
 struct ExecPlan {
   const ProgramSet* ps = nullptr;
   std::vector<const sim::BufferBinding*> buffers;
   std::vector<MaskBind> masks;
-  std::vector<std::vector<ParamFill>> seeds;  // parallel to ps->programs
+  std::vector<HostProgram> programs;  // parallel to ps->programs
   int width = 0;
   int height = 0;
   // Band boundaries of the nine-region pixel partition (x: [0,x1) [x1,x2)
@@ -112,10 +162,29 @@ constexpr Region kRegionGrid[3][3] = {
     {Region::kBottomLeft, Region::kBottom, Region::kBottomRight},
 };
 
-/// Interprets one program over lanes (x0 .. x0+n-1, y). Infallible: every
-/// failure mode is rejected up front by Validate / the binding pre-flight.
-void ExecChunk(const ExecPlan& plan, const Program& prog,
-               const std::vector<ParamFill>& seeds, int x0, int y, int n) {
+/// Offset of the first of n contiguous in-range pixels that a gid+offset
+/// access on mask slot 0 touches in `buf` from chunk (x0, y), or -1 when
+/// the access has another shape or some lane falls outside the buffer.
+std::ptrdiff_t RowOffset(const sim::BufferBinding& buf, const Insn& I, int x0,
+                         int y, int n) {
+  if (I.mask != 0 || I.cx.kind != CoordKind::kGidX ||
+      I.cy.kind != CoordKind::kGidY)
+    return -1;
+  const int ry = y + I.cy.off;
+  const int rx = x0 + I.cx.off;
+  if (ry < 0 || ry >= buf.height || rx < 0 || rx > buf.width - n) return -1;
+  return static_cast<std::ptrdiff_t>(ry) * buf.stride + rx;
+}
+
+/// Interprets one lowered program over lanes (x0 .. x0+n-1, y). Full chunks
+/// run the kFixed = kLaneWidth instantiation, whose lane loops have a
+/// compile-time trip count; partial chunks pass kFixed = 0 and their n.
+/// Infallible: every failure mode is rejected up front by Validate / the
+/// binding pre-flight.
+template <int kFixed>
+void ExecChunk(const ExecPlan& plan, const HostProgram& prog, int x0, int y,
+               int n_lanes) {
+  const int n = kFixed > 0 ? kFixed : n_lanes;
   HostScratch& sc = ThreadScratch();
   const std::size_t reg_slots =
       static_cast<std::size_t>(prog.num_regs) * kLaneWidth;
@@ -132,8 +201,8 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
   auto reg = [&](std::uint16_t r) { return regs + std::size_t{r} * kLaneWidth; };
   auto msk = [&](std::uint16_t m) { return masks + std::size_t{m} * kLaneWidth; };
 
-  for (int l = 0; l < n; ++l) masks[l] = 1;  // slot 0: chunk active mask
-  for (const ParamFill& seed : seeds) {
+  // Slot 0 is never read: every mask consumer goes through ForMask.
+  for (const ParamFill& seed : prog.seeds) {
     double* r = reg(seed.reg);
     types[seed.reg] = seed.type;
     for (int l = 0; l < n; ++l) r[l] = seed.value;
@@ -144,11 +213,14 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
   // values are never used, but stale lanes must not be cast to int.
   int cxs[kLaneWidth];
   int cys[kLaneWidth];
-  auto coord_lanes = [&](const Coord& c, const std::uint8_t* mk, int* out) {
+  auto coord_lanes = [&](const Coord& c, const std::uint8_t* mk, auto all,
+                         int* out) {
+    constexpr bool kAll = decltype(all)::value;
     switch (c.kind) {
       case CoordKind::kReg: {
         const double* r = reg(c.reg);
-        for (int l = 0; l < n; ++l) out[l] = mk[l] ? static_cast<int>(r[l]) : 0;
+        for (int l = 0; l < n; ++l)
+          out[l] = kAll || mk[l] ? static_cast<int>(r[l]) : 0;
         break;
       }
       case CoordKind::kGidX:
@@ -166,11 +238,79 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
     }
   };
 
-  const Insn* code = prog.code.data();
+  // Image read with boundary handling, lane by lane; masked-off lanes read 0.
+  auto load_image = [&](const Insn& I, double* d, auto all) {
+    constexpr bool kAll = decltype(all)::value;
+    const sim::BufferBinding* buf =
+        plan.buffers[static_cast<std::size_t>(I.buffer)];
+    const int bw = buf->width;
+    const int bh = buf->height;
+    const int stride = buf->stride;
+    const float* data = buf->data;
+    const std::uint8_t* mk = msk(I.mask);
+    coord_lanes(I.cx, mk, all, cxs);
+    coord_lanes(I.cy, mk, all, cys);
+    for (int l = 0; l < n; ++l) {
+      if (!kAll && !mk[l]) {
+        d[l] = 0.0;
+        continue;
+      }
+      const int cx = cxs[l];
+      const int cy = cys[l];
+      if (static_cast<unsigned>(cx) < static_cast<unsigned>(bw) &&
+          static_cast<unsigned>(cy) < static_cast<unsigned>(bh)) {
+        d[l] = static_cast<double>(
+            data[static_cast<std::size_t>(cy) * stride + cx]);
+        continue;
+      }
+      if (I.boundary == BoundaryMode::kConstant) {
+        const bool oob_x =
+            (cx < 0 && I.checks.lo_x) || (cx >= bw && I.checks.hi_x);
+        const bool oob_y =
+            (cy < 0 && I.checks.lo_y) || (cy >= bh && I.checks.hi_y);
+        if (oob_x || oob_y) {
+          d[l] = static_cast<double>(I.cvalue);
+          continue;
+        }
+      }
+      const int rx = ResolveCoordHost(cx, bw, I.boundary, I.checks.lo_x,
+                                      I.checks.hi_x);
+      const int ry = ResolveCoordHost(cy, bh, I.boundary, I.checks.lo_y,
+                                      I.checks.hi_y);
+      if (rx < 0 || ry < 0) {
+        d[l] = static_cast<double>(I.cvalue);
+        continue;
+      }
+      d[l] = static_cast<double>(
+          data[static_cast<std::size_t>(ry) * stride + rx]);
+    }
+  };
+
+  const HostInsn* code = prog.code.data();
   const std::int32_t end = static_cast<std::int32_t>(prog.code.size());
   std::int32_t pc = 0;
   while (pc < end) {
-    const Insn& I = code[pc];
+    const HostInsn& H = code[pc];
+    const Insn& I = *H.insn;
+    if (H.tap) {
+      // The image load is on mask slot 0, so every lane accumulates.
+      double* acc = reg(H.acc);
+      const float coeff = H.coeff;
+      const sim::BufferBinding& buf =
+          *plan.buffers[static_cast<std::size_t>(I.buffer)];
+      const std::ptrdiff_t off = RowOffset(buf, I, x0, y, n);
+      if (off >= 0) {
+        const float* src = buf.data + off;
+        for (int l = 0; l < n; ++l) acc[l] = TapLane(acc[l], coeff, src[l]);
+      } else {
+        double* px = reg(I.dst);  // dead after the tap: free scratch
+        load_image(I, px, std::true_type{});
+        for (int l = 0; l < n; ++l)
+          acc[l] = TapLane(acc[l], coeff, static_cast<float>(px[l]));
+      }
+      ++pc;
+      continue;
+    }
     switch (I.op) {
       case Op::kConst: {
         double* d = reg(I.dst);
@@ -276,84 +416,43 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
       case Op::kAssign: {
         const double* s = reg(I.a);
         double* d = reg(I.dst);
-        const AssignOp op = static_cast<AssignOp>(I.sub);
         const std::uint8_t* mk = msk(I.mask);
         const bool convert = types[I.a] != I.type;
         const bool fm = I.type == ScalarType::kFloat;
-        switch (op) {
-#define HIPACC_HOST_ASSIGN(name)                                          \
-  case AssignOp::name:                                                    \
-    if (fm)                                                               \
-      AssignLanes<AssignOp::name, true>(s, d, mk, I.type, convert, n);    \
-    else                                                                  \
-      AssignLanes<AssignOp::name, false>(s, d, mk, I.type, convert, n);   \
+        ForMask(I.mask, [&](auto all) {
+          constexpr bool kAll = decltype(all)::value;
+          switch (static_cast<AssignOp>(I.sub)) {
+#define HIPACC_HOST_ASSIGN(name)                                            \
+  case AssignOp::name:                                                      \
+    if (fm)                                                                 \
+      AssignLanes<AssignOp::name, true, kAll>(s, d, mk, I.type, convert,    \
+                                              n);                           \
+    else                                                                    \
+      AssignLanes<AssignOp::name, false, kAll>(s, d, mk, I.type, convert,   \
+                                               n);                          \
     break;
-          HIPACC_HOST_ASSIGN(kAssign)
-          HIPACC_HOST_ASSIGN(kAddAssign)
-          HIPACC_HOST_ASSIGN(kSubAssign)
-          HIPACC_HOST_ASSIGN(kMulAssign)
-          HIPACC_HOST_ASSIGN(kDivAssign)
+            HIPACC_HOST_ASSIGN(kAssign)
+            HIPACC_HOST_ASSIGN(kAddAssign)
+            HIPACC_HOST_ASSIGN(kSubAssign)
+            HIPACC_HOST_ASSIGN(kMulAssign)
+            HIPACC_HOST_ASSIGN(kDivAssign)
 #undef HIPACC_HOST_ASSIGN
-        }
+          }
+        });
         break;
       }
       case Op::kLoadImage: {
-        const sim::BufferBinding* buf =
-            plan.buffers[static_cast<std::size_t>(I.buffer)];
+        const sim::BufferBinding& buf =
+            *plan.buffers[static_cast<std::size_t>(I.buffer)];
         double* d = reg(I.dst);
-        const int bw = buf->width;
-        const int bh = buf->height;
-        const int stride = buf->stride;
-        const float* data = buf->data;
-        // Whole-chunk fast path for the ubiquitous gid+offset addressing
-        // when every lane is in range: one contiguous widening copy.
-        if (I.mask == 0 && I.cx.kind == CoordKind::kGidX &&
-            I.cy.kind == CoordKind::kGidY) {
-          const int ry = y + I.cy.off;
-          const int rx = x0 + I.cx.off;
-          if (ry >= 0 && ry < bh && rx >= 0 && rx + n <= bw) {
-            const float* src = data + static_cast<std::size_t>(ry) * stride + rx;
-            for (int l = 0; l < n; ++l) d[l] = static_cast<double>(src[l]);
-            types[I.dst] = ScalarType::kFloat;
-            break;
-          }
-        }
-        const std::uint8_t* mk = msk(I.mask);
-        coord_lanes(I.cx, mk, cxs);
-        coord_lanes(I.cy, mk, cys);
-        for (int l = 0; l < n; ++l) {
-          if (!mk[l]) {
-            d[l] = 0.0;
-            continue;
-          }
-          const int cx = cxs[l];
-          const int cy = cys[l];
-          if (static_cast<unsigned>(cx) < static_cast<unsigned>(bw) &&
-              static_cast<unsigned>(cy) < static_cast<unsigned>(bh)) {
-            d[l] = static_cast<double>(
-                data[static_cast<std::size_t>(cy) * stride + cx]);
-            continue;
-          }
-          if (I.boundary == BoundaryMode::kConstant) {
-            const bool oob_x =
-                (cx < 0 && I.checks.lo_x) || (cx >= bw && I.checks.hi_x);
-            const bool oob_y =
-                (cy < 0 && I.checks.lo_y) || (cy >= bh && I.checks.hi_y);
-            if (oob_x || oob_y) {
-              d[l] = static_cast<double>(I.cvalue);
-              continue;
-            }
-          }
-          const int rx = ResolveCoordHost(cx, bw, I.boundary, I.checks.lo_x,
-                                          I.checks.hi_x);
-          const int ry = ResolveCoordHost(cy, bh, I.boundary, I.checks.lo_y,
-                                          I.checks.hi_y);
-          if (rx < 0 || ry < 0) {
-            d[l] = static_cast<double>(I.cvalue);
-            continue;
-          }
-          d[l] = static_cast<double>(
-              data[static_cast<std::size_t>(ry) * stride + rx]);
+        // The ubiquitous gid+offset addressing with every lane in range is
+        // one contiguous widening copy.
+        const std::ptrdiff_t off = RowOffset(buf, I, x0, y, n);
+        if (off >= 0) {
+          const float* src = buf.data + off;
+          for (int l = 0; l < n; ++l) d[l] = static_cast<double>(src[l]);
+        } else {
+          ForMask(I.mask, [&](auto all) { load_image(I, d, all); });
         }
         types[I.dst] = ScalarType::kFloat;
         break;
@@ -361,68 +460,54 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
       case Op::kLoadConst: {
         const MaskBind& mb = plan.masks[static_cast<std::size_t>(I.buffer)];
         double* d = reg(I.dst);
-        // Mask coefficients are almost always read at literal window
-        // offsets: a single broadcast per instruction.
-        if (I.cx.kind == CoordKind::kImm && I.cy.kind == CoordKind::kImm) {
-          const std::size_t addr =
-              static_cast<std::size_t>(I.cy.off) * mb.width + I.cx.off;
-          const double v = addr < mb.data->size()
-                               ? static_cast<double>((*mb.data)[addr])
-                               : 0.0;
-          const std::uint8_t* mk = msk(I.mask);
-          for (int l = 0; l < n; ++l) d[l] = mk[l] ? v : 0.0;
-          types[I.dst] = ScalarType::kFloat;
-          break;
-        }
         const std::uint8_t* mk = msk(I.mask);
-        coord_lanes(I.cx, mk, cxs);
-        coord_lanes(I.cy, mk, cys);
-        for (int l = 0; l < n; ++l) {
-          if (!mk[l]) {
-            d[l] = 0.0;
-            continue;
+        ForMask(I.mask, [&](auto all) {
+          constexpr bool kAll = decltype(all)::value;
+          // Mask coefficients are almost always read at literal window
+          // offsets: a single broadcast per instruction.
+          if (I.cx.kind == CoordKind::kImm && I.cy.kind == CoordKind::kImm) {
+            const double v = MaskValue(mb, I.cx.off, I.cy.off);
+            for (int l = 0; l < n; ++l) d[l] = kAll || mk[l] ? v : 0.0;
+            return;
           }
-          const std::size_t addr =
-              static_cast<std::size_t>(cys[l]) * mb.width + cxs[l];
-          d[l] = addr < mb.data->size() ? static_cast<double>((*mb.data)[addr])
-                                        : 0.0;
-        }
+          coord_lanes(I.cx, mk, all, cxs);
+          coord_lanes(I.cy, mk, all, cys);
+          for (int l = 0; l < n; ++l)
+            d[l] = kAll || mk[l] ? MaskValue(mb, cxs[l], cys[l]) : 0.0;
+        });
         types[I.dst] = ScalarType::kFloat;
         break;
       }
       case Op::kStore: {
-        const sim::BufferBinding* buf =
-            plan.buffers[static_cast<std::size_t>(I.buffer)];
+        const sim::BufferBinding& buf =
+            *plan.buffers[static_cast<std::size_t>(I.buffer)];
         const double* v = reg(I.a);
-        if (I.mask == 0 && I.cx.kind == CoordKind::kGidX &&
-            I.cy.kind == CoordKind::kGidY) {
-          const int py = y + I.cy.off;
-          const int px = x0 + I.cx.off;
-          if (py >= 0 && py < buf->height && px >= 0 &&
-              px + n <= buf->width) {
-            float* dst =
-                buf->data + static_cast<std::size_t>(py) * buf->stride + px;
-            for (int l = 0; l < n; ++l) dst[l] = static_cast<float>(v[l]);
-            break;
-          }
+        const std::ptrdiff_t off = RowOffset(buf, I, x0, y, n);
+        if (off >= 0) {
+          float* dst = buf.data + off;
+          for (int l = 0; l < n; ++l) dst[l] = static_cast<float>(v[l]);
+          break;
         }
         const std::uint8_t* mk = msk(I.mask);
-        coord_lanes(I.cx, mk, cxs);
-        coord_lanes(I.cy, mk, cys);
-        for (int l = 0; l < n; ++l) {
-          if (!mk[l]) continue;
-          const int px = cxs[l];
-          const int py = cys[l];
-          if (px < 0 || px >= buf->width || py < 0 || py >= buf->height)
-            continue;
-          buf->data[static_cast<std::size_t>(py) * buf->stride + px] =
-              static_cast<float>(v[l]);
-        }
+        ForMask(I.mask, [&](auto all) {
+          constexpr bool kAll = decltype(all)::value;
+          coord_lanes(I.cx, mk, all, cxs);
+          coord_lanes(I.cy, mk, all, cys);
+          for (int l = 0; l < n; ++l) {
+            if (!kAll && !mk[l]) continue;
+            const int px = cxs[l];
+            const int py = cys[l];
+            if (px < 0 || px >= buf.width || py < 0 || py >= buf.height)
+              continue;
+            buf.data[static_cast<std::size_t>(py) * buf.stride + px] =
+                static_cast<float>(v[l]);
+          }
+        });
         break;
       }
       case Op::kBarrier:
       case Op::kAccount:
-        break;
+        break;  // dropped by Lower
       case Op::kLoadShared:
         break;  // rejected by Validate
       case Op::kMaskIf: {
@@ -430,17 +515,21 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
         const std::uint8_t* in = msk(I.mask);
         std::uint8_t* tm = msk(I.dst);
         std::uint8_t* em = msk(I.b);
-        for (int l = 0; l < n; ++l) {
-          const bool taken = in[l] && cond[l] != 0.0;
-          const bool active = in[l] != 0;
-          tm[l] = taken;
-          em[l] = active && !taken;
-        }
+        ForMask(I.mask, [&](auto all) {
+          constexpr bool kAll = decltype(all)::value;
+          for (int l = 0; l < n; ++l) {
+            const bool active = kAll || in[l] != 0;
+            const bool taken = active && cond[l] != 0.0;
+            tm[l] = taken;
+            em[l] = active && !taken;
+          }
+        });
         break;
       }
       case Op::kJumpIfNone:
-        if (!AnyActive(msk(I.mask), n)) {
-          pc = I.jump;
+        // Slot 0 always has a lane: chunks are never empty.
+        if (I.mask != 0 && !AnyActive(msk(I.mask), n)) {
+          pc = H.jump;
           continue;
         }
         break;
@@ -458,13 +547,16 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
         const std::uint8_t* in = msk(I.mask);
         std::uint8_t* im = msk(I.dst);
         bool any = false;
-        for (int l = 0; l < n; ++l) {
-          const bool live = in[l] && var[l] <= hi[l];
-          im[l] = live;
-          any = any || live;
-        }
+        ForMask(I.mask, [&](auto all) {
+          constexpr bool kAll = decltype(all)::value;
+          for (int l = 0; l < n; ++l) {
+            const bool live = (kAll || in[l]) && var[l] <= hi[l];
+            im[l] = live;
+            any = any || live;
+          }
+        });
         if (!any) {
-          pc = I.jump;
+          pc = H.jump;
           continue;
         }
         break;
@@ -472,9 +564,12 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
       case Op::kLoopInc: {
         double* d = reg(I.dst);
         const std::uint8_t* mk = msk(I.mask);
-        for (int l = 0; l < n; ++l)
-          if (mk[l]) d[l] += I.imm;
-        pc = I.jump;
+        ForMask(I.mask, [&](auto all) {
+          constexpr bool kAll = decltype(all)::value;
+          for (int l = 0; l < n; ++l)
+            if (kAll || mk[l]) d[l] += I.imm;
+        });
+        pc = H.jump;
         continue;
       }
     }
@@ -485,7 +580,8 @@ void ExecChunk(const ExecPlan& plan, const Program& prog,
 /// Rejects programs whose host execution could diverge from the simulator:
 /// scratchpad staging (tile contents depend on the block shape), texture or
 /// hardware-resolved boundary handling, and any thread/block-shape dependent
-/// index. Pure value computations pass.
+/// index. Also rejects writes to mask slot 0, which the executor's mask-free
+/// lane loops assume holds every lane. Pure value computations pass.
 Status ValidateProgram(const Program& prog, const std::string& kernel) {
   auto unsupported = [&](const char* what) {
     return Status::Unimplemented(
@@ -505,8 +601,157 @@ Status ValidateProgram(const Program& prog, const std::string& kernel) {
     for (const Coord* c : {&I.cx, &I.cy})
       if (c->kind == CoordKind::kTidX || c->kind == CoordKind::kTidY)
         return unsupported("thread-local coordinates");
+    if ((I.op == Op::kMaskIf && (I.dst == 0 || I.b == 0)) ||
+        (I.op == Op::kLoopHead && I.dst == 0))
+      return unsupported("a write to the active-lane mask");
   }
   return Status::Ok();
+}
+
+// Register def/use for DeadFrom. Only straight-line programs are fused, so
+// branch and loop instructions never reach these.
+
+bool ReadsReg(const Insn& I, std::uint16_t r) {
+  auto coord = [r](const Coord& c) {
+    return c.kind == CoordKind::kReg && c.reg == r;
+  };
+  switch (I.op) {
+    case Op::kConst:
+    case Op::kThreadIdx:
+    case Op::kBarrier:
+    case Op::kAccount:
+      return false;
+    case Op::kCopy:
+    case Op::kConvert:
+    case Op::kUnary:
+      return I.a == r;
+    case Op::kBinary:
+    case Op::kCall:
+      return I.a == r || I.b == r;
+    case Op::kSelect:
+      return I.a == r || I.b == r || I.c == r;
+    case Op::kAssign:  // read-modify-write, predicated
+      return I.a == r || I.dst == r;
+    case Op::kStore:
+      return I.a == r || coord(I.cx) || coord(I.cy);
+    case Op::kLoadImage:
+    case Op::kLoadConst:
+      return coord(I.cx) || coord(I.cy);
+    default:
+      return true;
+  }
+}
+
+/// True when `I` writes every lane of register r (and its type).
+bool OverwritesReg(const Insn& I, std::uint16_t r) {
+  switch (I.op) {
+    case Op::kConst:
+    case Op::kCopy:
+    case Op::kConvert:
+    case Op::kUnary:
+    case Op::kBinary:
+    case Op::kSelect:
+    case Op::kCall:
+    case Op::kThreadIdx:
+    case Op::kLoadImage:
+    case Op::kLoadConst:
+      return I.dst == r;
+    default:
+      return false;
+  }
+}
+
+/// Straight-line liveness: r is dead at `from` when it is overwritten
+/// before any read, or never referenced again.
+bool DeadFrom(const std::vector<Insn>& code, std::size_t from,
+              std::uint16_t r) {
+  for (std::size_t pc = from; pc < code.size(); ++pc) {
+    if (ReadsReg(code[pc], r)) return false;
+    if (OverwritesReg(code[pc], r)) return true;
+  }
+  return true;
+}
+
+/// Matches a convolution tap at code[pc..pc+3] of a straight-line program:
+/// a constant-mask read at literal offsets and an image read at gid+offset
+/// (either order), their float kMul (either operand order), and a float
+/// `acc += product`, all on mask slot 0, with the three temporaries dead
+/// afterwards. Fills `tap` with the image load, accumulator and coefficient.
+bool MatchTap(const std::vector<Insn>& code, std::size_t pc,
+              const std::vector<MaskBind>& masks, HostInsn* tap) {
+  if (pc + 4 > code.size()) return false;
+  const Insn* ld_mask = &code[pc];
+  const Insn* ld_image = &code[pc + 1];
+  if (ld_mask->op == Op::kLoadImage) std::swap(ld_mask, ld_image);
+  const Insn& mul = code[pc + 2];
+  const Insn& add = code[pc + 3];
+  const std::uint16_t c = ld_mask->dst;
+  const std::uint16_t px = ld_image->dst;
+  const bool shape =
+      ld_mask->op == Op::kLoadConst && ld_mask->mask == 0 &&
+      ld_mask->cx.kind == CoordKind::kImm &&
+      ld_mask->cy.kind == CoordKind::kImm && ld_image->op == Op::kLoadImage &&
+      ld_image->mask == 0 && ld_image->cx.kind == CoordKind::kGidX &&
+      ld_image->cy.kind == CoordKind::kGidY && c != px &&
+      mul.op == Op::kBinary &&
+      static_cast<BinaryOp>(mul.sub) == BinaryOp::kMul &&
+      mul.type == ScalarType::kFloat &&
+      ((mul.a == c && mul.b == px) || (mul.a == px && mul.b == c)) &&
+      add.op == Op::kAssign &&
+      static_cast<AssignOp>(add.sub) == AssignOp::kAddAssign &&
+      add.type == ScalarType::kFloat && add.mask == 0 && add.a == mul.dst &&
+      add.dst != c && add.dst != px && add.dst != mul.dst;
+  if (!shape) return false;
+  const float coeff =
+      MaskValue(masks[static_cast<std::size_t>(ld_mask->buffer)],
+                ld_mask->cx.off, ld_mask->cy.off);
+  if (std::isnan(coeff)) return false;
+  for (const std::uint16_t r : {c, px, mul.dst})
+    if (!DeadFrom(code, pc + 4, r)) return false;
+  tap->insn = ld_image;
+  tap->tap = true;
+  tap->acc = add.dst;
+  tap->coeff = coeff;
+  return true;
+}
+
+/// Lowers one region program into the host stream: drops the cost-only
+/// kAccount / kBarrier, fuses convolution taps (MatchTap) when the program
+/// has no branches or loops, and renumbers branch targets. Runs after
+/// BindLaunch, so mask coefficients are known.
+HostProgram Lower(const Program& prog, const std::vector<MaskBind>& masks) {
+  const std::vector<Insn>& code = prog.code;
+  bool straight = true;
+  for (const Insn& I : code)
+    if (I.op == Op::kMaskIf || I.op == Op::kJumpIfNone ||
+        I.op == Op::kLoopHead || I.op == Op::kLoopInc)
+      straight = false;
+  HostProgram out;
+  out.num_regs = prog.num_regs;
+  out.num_masks = prog.num_masks;
+  out.code.reserve(code.size());
+  std::vector<std::int32_t> renumber(code.size() + 1);
+  std::size_t pc = 0;
+  while (pc < code.size()) {
+    renumber[pc] = static_cast<std::int32_t>(out.code.size());
+    const Insn& I = code[pc];
+    HostInsn tap;
+    if (I.op == Op::kAccount || I.op == Op::kBarrier) {
+      ++pc;
+    } else if (straight && MatchTap(code, pc, masks, &tap)) {
+      out.code.push_back(tap);
+      pc += 4;  // a straight-line program has no branch into the sequence
+    } else {
+      out.code.push_back(HostInsn{&I, I.jump});
+      ++pc;
+    }
+  }
+  renumber[code.size()] = static_cast<std::int32_t>(out.code.size());
+  for (HostInsn& h : out.code)
+    if (!h.tap && (h.insn->op == Op::kJumpIfNone ||
+                   h.insn->op == Op::kLoopHead || h.insn->op == Op::kLoopInc))
+      h.jump = renumber[static_cast<std::size_t>(h.jump)];
+  return out;
 }
 
 /// Builds the band partition and per-band program table. With a single
@@ -565,20 +810,7 @@ Status BindLaunch(const sim::Launch& launch, const ProgramSet& ps,
     mb.width = ref.width;
     plan->masks.push_back(mb);
   }
-  plan->seeds.resize(ps.programs.size());
-  for (std::size_t p = 0; p < ps.programs.size(); ++p) {
-    const Program& prog = ps.programs[p];
-    auto& seeds = plan->seeds[p];
-    seeds.reserve(prog.params.size());
-    for (const auto& param : prog.params) {
-      const auto it = launch.scalar_args.find(param.name);
-      const double v = it != launch.scalar_args.end() ? it->second : 0.0;
-      seeds.push_back(ParamFill{
-          param.reg, param.type,
-          param.type == ScalarType::kFloat
-              ? static_cast<double>(static_cast<float>(v))
-              : v});
-    }
+  for (const Program& prog : ps.programs) {
     // The VM binds lazily and errors when an instruction touches a missing
     // buffer; the host path front-loads the same checks so the row workers
     // are infallible.
@@ -601,6 +833,18 @@ Status BindLaunch(const sim::Launch& launch, const ProgramSet& ps,
               ps.const_masks[static_cast<std::size_t>(I.buffer)].name);
       }
     }
+    HostProgram lowered = Lower(prog, plan->masks);
+    lowered.seeds.reserve(prog.params.size());
+    for (const auto& param : prog.params) {
+      const auto it = launch.scalar_args.find(param.name);
+      const double v = it != launch.scalar_args.end() ? it->second : 0.0;
+      lowered.seeds.push_back(ParamFill{
+          param.reg, param.type,
+          param.type == ScalarType::kFloat
+              ? static_cast<double>(static_cast<float>(v))
+              : v});
+    }
+    plan->programs.push_back(std::move(lowered));
   }
   return Status::Ok();
 }
@@ -610,25 +854,16 @@ void ExecRow(const ExecPlan& plan, int y) {
   const ProgramSet& ps = *plan.ps;
   const int xs[4] = {0, plan.x1, plan.x2, plan.width};
   for (int col = 0; col < 3; ++col) {
-    const Program* prog = plan.grid[row][col];
-    const std::size_t prog_index =
-        static_cast<std::size_t>(prog - ps.programs.data());
-    const auto& seeds = plan.seeds[prog_index];
-    for (int x0 = xs[col]; x0 < xs[col + 1]; x0 += kLaneWidth) {
-      const int n = std::min(kLaneWidth, xs[col + 1] - x0);
-      ExecChunk(plan, *prog, seeds, x0, y, n);
-    }
+    const HostProgram& prog = plan.programs[static_cast<std::size_t>(
+        plan.grid[row][col] - ps.programs.data())];
+    int x0 = xs[col];
+    for (; x0 + kLaneWidth <= xs[col + 1]; x0 += kLaneWidth)
+      ExecChunk<kLaneWidth>(plan, prog, x0, y, kLaneWidth);
+    if (x0 < xs[col + 1]) ExecChunk<0>(plan, prog, x0, y, xs[col + 1] - x0);
   }
 }
 
 }  // namespace
-
-bool HostExecSupports(const ProgramSet& programs, int width, int height,
-                      int halo_x, int halo_y) {
-  if (programs.programs.empty()) return false;
-  ExecPlan plan;
-  return PlanRegions(programs, width, height, halo_x, halo_y, &plan).ok();
-}
 
 Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y,
                  const HostExecOptions& options) {

@@ -12,16 +12,38 @@
 // program differs from the interior one only in which boundary guards it
 // carries, and guards are value-neutral for in-range reads — every pixel
 // here runs under a program whose guards cover exactly the directions it
-// can actually exceed. Segments are interpreted in lane chunks (one
-// dispatch per instruction per chunk, amortised over up to kLaneWidth
-// pixels) using the very same per-lane arithmetic helpers as the VM, so
-// outputs are bit-identical to both simulator engines and to the DSL's
-// functional path.
+// can actually exceed.
+//
+// Lowering: each launch first lowers its region programs into a host-only
+// instruction stream, in time linear in the instruction count. Cost-only
+// kAccount / kBarrier instructions are dropped and branch targets
+// renumbered. In programs without branches or loops, every convolution tap
+// — a constant-mask read at literal offsets, an image read at gid+offset
+// (either order), their float kMul (either operand order), and a float
+// `acc += product`, all on mask slot 0 — becomes one multiply-accumulate
+// that reads the float image row directly and computes
+// `acc = float(float(acc) + coeff * px)`, the VM's per-op float rounding.
+// A tap fuses only when its three temporaries (the two loaded values and
+// the product) are dead afterwards: each is overwritten before any read,
+// or never referenced again. The bytecode programs themselves are not
+// modified.
+//
+// Lane loops: segments run in chunks of up to 256 lanes, one dispatch per
+// instruction per chunk. Full chunks use an instantiation with a
+// compile-time width; partial chunks (a 510-pixel interior splits
+// 256 + 254) run the same fast paths with a run-time width. Mask slot 0 is
+// the chunk's all-active mask (programs that write it are rejected), so
+// instructions predicated on it run mask-free loops. Lanes use the very
+// same arithmetic helpers as the VM, so outputs are bit-identical to both
+// simulator engines and to the DSL's functional path. The source file is
+// built with -O3 (so those loops vectorise) and -ffp-contract=off (so no
+// multiply-add is contracted into an FMA, which would change rounding).
 //
 // Programs the executor cannot prove equivalent return Unimplemented:
 // scratchpad staging (kLoadShared), texture/hardware boundary handling,
-// thread/block-index dependent values, or a halo exceeding the image (the
-// degenerate-region case). Callers fall back to the simulator.
+// thread/block-index dependent values, a write to mask slot 0, or a halo
+// exceeding the image (the degenerate-region case). Callers fall back to
+// the simulator.
 #pragma once
 
 #include "sim/bytecode.hpp"
@@ -40,14 +62,10 @@ struct HostExecOptions {
 /// bound output buffers in place. `halo_x` / `halo_y` is the kernel's
 /// boundary-handling window (DeviceKernel::bh_window) that sized the nine
 /// region variants; ignored when the program set has a single variant.
-/// Returns Unimplemented for unsupported programs (see file comment) —
-/// the caller is expected to fall back to simulator execution.
+/// Returns Unimplemented for unsupported programs (see file comment),
+/// always before writing any output — the caller is expected to fall back
+/// to simulator execution.
 Status RunOnHost(const sim::Launch& launch, int halo_x, int halo_y,
                  const HostExecOptions& options = {});
-
-/// True when RunOnHost would accept this program set (used by the graph
-/// scheduler to decide the execution path before launching).
-bool HostExecSupports(const sim::ProgramSet& programs, int width, int height,
-                      int halo_x, int halo_y);
 
 }  // namespace hipacc::runtime

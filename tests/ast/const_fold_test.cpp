@@ -4,20 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "ast/printer.hpp"
 
 namespace hipacc::ast {
 namespace {
 
+// gtest prints (and CTest names) each case by the raw bytes of FoldCase, so
+// the padding is spelled out as zeroed members: left implicit, it holds
+// whatever the stack held and the test names change from run to run.
 struct FoldCase {
+  FoldCase(BinaryOp op, double lhs, double rhs, bool ints, double expected)
+      : op(op), lhs(lhs), rhs(rhs), ints(ints), expected(expected) {}
+
   BinaryOp op;
+  std::int32_t pad_after_op = 0;
   double lhs;
   double rhs;
   bool ints;
+  std::array<std::uint8_t, 7> pad_after_ints = {};
   double expected;
 };
+static_assert(sizeof(FoldCase) == 40, "FoldCase must have no implicit padding");
 
 class BinaryFoldTest : public ::testing::TestWithParam<FoldCase> {};
 

@@ -467,10 +467,12 @@ GraphCase MakeGraphCase(Rng& rng, BoundaryMode mode) {
   return gc;
 }
 
-/// Runs one graph case three ways — per-stage eager simulation, the graph
-/// runtime with fusion off, and with the full planner — and requires every
-/// externally visible image to match bit for bit. Accumulates the planner's
-/// applied-edge count so sweeps can assert fusion actually engaged.
+/// Runs one graph case five ways — per-stage eager simulation, then the
+/// graph runtime with fusion off and with the full planner, each on the
+/// simulator executor and on kAuto (the host executor wherever it accepts a
+/// stage, as in streaming) — and requires every externally visible image to
+/// match bit for bit. Accumulates the planner's applied-edge count so sweeps
+/// can assert fusion actually engaged.
 /// Increments `*ran` only when the case's kernels all compile (small odd
 /// extents legitimately reject some window/config combinations); sweeps
 /// assert on the ran-rate so a generator drifting into mostly-invalid
@@ -514,39 +516,47 @@ void RunGraphCase(const GraphCase& gc, int ppt, Rng& rng,
   }
   if (ran != nullptr) ++*ran;
 
-  for (const compiler::FusionMode fuse :
-       {compiler::FusionMode::kOff, compiler::FusionMode::kAll}) {
-    runtime::PipelineGraph graph;
-    graph.Source("in", gc.width, gc.height);
-    for (const GraphCase::Stage& st : gc.stages)
-      graph.Kernel(st.name, st.source, {{"Input", st.input}}, st.scalars);
-    std::map<std::string, HostImage<float>> outs;
-    runtime::PipelineGraph::OutputBindings out_bindings;
-    for (const std::string& s : sinks) {
-      graph.Output(s);
-      outs.emplace(s, HostImage<float>(gc.width, gc.height));
-    }
-    for (auto& [name, image] : outs) out_bindings.emplace_back(name, &image);
-    sim::TraceSink trace;
-    runtime::GraphOptions gopts;
-    gopts.fuse = fuse;
-    gopts.executor = runtime::GraphOptions::Executor::kSimulator;
-    gopts.run.codegen.pixels_per_thread = ppt;
-    gopts.run.codegen.border = codegen::BorderPolicy::kUniform;
-    gopts.run.trace = &trace;
-    const Status run = graph.Run({{"in", &input}}, out_bindings, gopts);
-    ASSERT_TRUE(run.ok()) << run.ToString();
-    if (fuse == compiler::FusionMode::kAll && fused_edges != nullptr)
-      *fused_edges += trace.counter("graph.fused_edges");
-    for (const std::string& s : sinks) {
-      SCOPED_TRACE(StrFormat("sink %s fuse=%s", s.c_str(), to_string(fuse)));
-      const HostImage<float>& want = eager.at(s);
-      const HostImage<float>& got = outs.at(s);
-      ASSERT_EQ(want.size(), got.size());
-      EXPECT_EQ(std::memcmp(want.data(), got.data(),
-                            want.size() * sizeof(float)),
-                0)
-          << "graph output differs bitwise from eager";
+  for (const auto executor : {runtime::GraphOptions::Executor::kSimulator,
+                              runtime::GraphOptions::Executor::kAuto}) {
+    for (const compiler::FusionMode fuse :
+         {compiler::FusionMode::kOff, compiler::FusionMode::kAll}) {
+      const bool on_simulator =
+          executor == runtime::GraphOptions::Executor::kSimulator;
+      runtime::PipelineGraph graph;
+      graph.Source("in", gc.width, gc.height);
+      for (const GraphCase::Stage& st : gc.stages)
+        graph.Kernel(st.name, st.source, {{"Input", st.input}}, st.scalars);
+      std::map<std::string, HostImage<float>> outs;
+      runtime::PipelineGraph::OutputBindings out_bindings;
+      for (const std::string& s : sinks) {
+        graph.Output(s);
+        outs.emplace(s, HostImage<float>(gc.width, gc.height));
+      }
+      for (auto& [name, image] : outs) out_bindings.emplace_back(name, &image);
+      sim::TraceSink trace;
+      runtime::GraphOptions gopts;
+      gopts.fuse = fuse;
+      gopts.executor = executor;
+      gopts.run.codegen.pixels_per_thread = ppt;
+      gopts.run.codegen.border = codegen::BorderPolicy::kUniform;
+      gopts.run.trace = &trace;
+      const Status run = graph.Run({{"in", &input}}, out_bindings, gopts);
+      ASSERT_TRUE(run.ok()) << run.ToString();
+      if (fuse == compiler::FusionMode::kAll && on_simulator &&
+          fused_edges != nullptr)
+        *fused_edges += trace.counter("graph.fused_edges");
+      for (const std::string& s : sinks) {
+        SCOPED_TRACE(StrFormat("sink %s fuse=%s executor=%s", s.c_str(),
+                               to_string(fuse),
+                               on_simulator ? "simulator" : "auto"));
+        const HostImage<float>& want = eager.at(s);
+        const HostImage<float>& got = outs.at(s);
+        ASSERT_EQ(want.size(), got.size());
+        EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "graph output differs bitwise from eager";
+      }
     }
   }
 }
