@@ -6,12 +6,12 @@
 //
 // The ratios this records are bounded by what the engines share: the
 // memory/timing model and libm calls are identical across engines, so
-// fused straight-line kernels land around 1.7-2x over the bytecode VM and
-// per-instruction (non-fused) kernels around 1x. The CI perf smoke runs
-// this binary with --min-ratio=1.5 over the fused shapes.
+// kernels land around 1.7-3x over the bytecode VM. Every kernel runs the
+// one native emitter, the runtime-bounded bilateral loops included. The CI
+// perf smoke runs this binary with --min-ratio=1.5.
 //
 //   --repeats=N        timed launches per engine (default 5)
-//   --min-ratio=R      exit non-zero unless every fused kernel's
+//   --min-ratio=R      exit non-zero unless every kernel's
 //                      native-vs-bytecode speedup is >= R (default: off)
 //   --json-out=FILE    report path (default BENCH_jit.json)
 #include <algorithm>
@@ -41,10 +41,6 @@ struct Case {
   frontend::KernelSource source;
   int n;
   runtime::BindingSet scalars;
-  /// Whether the native tier emits the fused lane loop for this kernel
-  /// (straight-line programs); non-fused kernels run the per-instruction
-  /// trampoline and are excluded from --min-ratio.
-  bool fused;
 };
 
 struct Timed {
@@ -127,7 +123,7 @@ int main(int argc, char** argv) {
       "jit_tiering", "native-tier vs bytecode-VM vs AST wall-clock");
   cli.Int("repeats", &repeats, "N", "timed launches per engine (default 5)");
   cli.Value("min-ratio", "R",
-            "fail unless every fused kernel's native speedup >= R",
+            "fail unless every kernel's native speedup >= R",
             [&min_ratio](const std::string& value) -> Status {
               char* end = nullptr;
               min_ratio = std::strtod(value.c_str(), &end);
@@ -142,7 +138,7 @@ int main(int argc, char** argv) {
   if (!sim::jit::ToolchainAvailable()) {
     std::fprintf(stderr,
                  "no host toolchain: the native tier would fall back to the "
-                 "threaded VM, so the ratios would be meaningless\n");
+                 "VM, so the ratios would be meaningless\n");
     return min_ratio > 0.0 ? 1 : 0;
   }
 
@@ -154,24 +150,22 @@ int main(int argc, char** argv) {
   tone.Scalar("center", 0.35f).Scalar("weight", 0.6f);
   const std::vector<Case> cases = {
       {"gaussian5_512",
-       ops::GaussianSource(5, 1.2f, ast::BoundaryMode::kMirror), 512, {},
-       true},
+       ops::GaussianSource(5, 1.2f, ast::BoundaryMode::kMirror), 512, {}},
       {"sobel3_512",
        ops::ConvolutionSource("sobel", 3, 3, ops::SobelMaskX(),
                               ast::BoundaryMode::kClamp),
        512,
-       {},
-       true},
+       {}},
       {"bilateral9_256", ops::BilateralMaskSource(2, ast::BoundaryMode::kClamp),
-       256, bilateral, false},
+       256, bilateral},
       {"bilateral_fixed9_256",
        ops::BilateralFixedSource(2, ast::BoundaryMode::kClamp), 256,
-       bilateral_fixed, true},
-      {"tone_curve8_512", ops::ToneCurveSource(8), 512, tone, true},
+       bilateral_fixed},
+      {"tone_curve8_512", ops::ToneCurveSource(8), 512, tone},
   };
 
   bench::Table table(
-      {"ast_ms", "bytecode_ms", "native_ms", "native_vs_bytecode", "fused"});
+      {"ast_ms", "bytecode_ms", "native_ms", "native_vs_bytecode"});
   support::Json kernels = support::Json::Array();
   bool ok = true;
   for (const Case& c : cases) {
@@ -190,10 +184,8 @@ int main(int argc, char** argv) {
     table.Cell(timed.value().bytecode_ms);
     table.Cell(timed.value().native_ms);
     table.Cell(StrFormat("%.2fx", ratio));
-    table.Cell(c.fused ? "yes" : "no");
     support::Json k = support::Json::Object();
     k["kernel"] = c.label;
-    k["fused"] = c.fused;
     k["ast_ms"] = timed.value().ast_ms;
     k["bytecode_ms"] = timed.value().bytecode_ms;
     k["native_ms"] = timed.value().native_ms;
@@ -201,7 +193,7 @@ int main(int argc, char** argv) {
     k["first_launch_ms"] = timed.value().compile_ms;
     k["jit_compiles"] = timed.value().jit_compiles;
     kernels.push_back(std::move(k));
-    if (min_ratio > 0.0 && c.fused && ratio < min_ratio) {
+    if (min_ratio > 0.0 && ratio < min_ratio) {
       std::fprintf(stderr, "FAIL: %s native/bytecode %.2fx < %.2fx\n",
                    c.label.c_str(), ratio, min_ratio);
       ok = false;

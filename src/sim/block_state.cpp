@@ -64,18 +64,23 @@ void BlockState::BuildWarpContext(int warp, int threads) {
   tid_y.fill(0);
   gid_x.fill(0);
   gid_y.fill(0);
+  tid_xi.fill(0);
+  tid_yi.fill(0);
+  gid_xi.fill(0);
+  gid_yi.fill(0);
   active.fill(0);
   for (int lane = 0; lane < warp_size; ++lane) {
     const int lin = warp * warp_size + lane;
     if (lin >= threads) continue;
     const int tx = lin % bx;
     const int ty = lin / bx;
-    tid_x[static_cast<size_t>(lane)] = tx;
-    tid_y[static_cast<size_t>(lane)] = ty;
     const int gx = bix * bx + tx;
     const int gy = biy * launch.config.block_y + ty;
-    gid_x[static_cast<size_t>(lane)] = gx;
-    gid_y[static_cast<size_t>(lane)] = gy;
+    const std::size_t i = static_cast<std::size_t>(lane);
+    tid_x[i] = tid_xi[i] = tx;
+    tid_y[i] = tid_yi[i] = ty;
+    gid_x[i] = gid_xi[i] = gx;
+    gid_y[i] = gid_yi[i] = gy;
     // The emitted guard `if (gid_x >= IW || gid_y >= IH) return;` — with
     // PPT > 1 a thread is live when its FIRST output row is in bounds
     // (`gid_y * PPT >= IH` in the generated source); later sub-rows carry

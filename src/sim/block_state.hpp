@@ -75,6 +75,9 @@ struct BlockState {
   int warp_size = 32;
 
   std::array<double, kMaxWarpWidth> tid_x{}, tid_y{}, gid_x{}, gid_y{};
+  /// Integer mirrors of the indices above, so fused coordinates are pure
+  /// int adds instead of per-lane double→int conversions.
+  std::array<int, kMaxWarpWidth> tid_xi{}, tid_yi{}, gid_xi{}, gid_yi{};
   LaneMask active{};
 
   /// Reused per-access coalescing address buffer (capacity persists across

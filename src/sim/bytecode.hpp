@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -108,6 +109,16 @@ struct ParamSeed {
   std::string name;
   std::uint16_t reg = 0;
   ast::ScalarType type = ast::ScalarType::kFloat;
+
+  /// The lane value seeded from a launch's scalar arguments: 0 when
+  /// unbound, float parameters rounded through float.
+  double Value(const std::map<std::string, double>& scalar_args) const {
+    const auto it = scalar_args.find(name);
+    const double v = it != scalar_args.end() ? it->second : 0.0;
+    return type == ast::ScalarType::kFloat
+               ? static_cast<double>(static_cast<float>(v))
+               : v;
+  }
 };
 
 /// The compiled stream of one region variant.

@@ -18,7 +18,7 @@ namespace hipacc::sim::jit {
 /// only the device's warp_size are live (trailing mask lanes stay zero).
 inline constexpr int kJitMaxWarp = 64;
 
-inline constexpr int kJitAbiVersion = 1;
+inline constexpr int kJitAbiVersion = 2;
 
 /// Memory-instruction kinds reported through JitWarpCtx::mem_access.
 inline constexpr int kJitMemGlobalRead = 0;
@@ -60,19 +60,15 @@ using JitMemAccessFn = void (*)(void* host, int kind,
                                 const unsigned long long* addrs, int count);
 
 /// Warp-call context. The generated function executes one warp of one
-/// region program: registers and masks live in host-owned arrays of
-/// kJitMaxWarp lanes per slot, metric deltas are accumulated into the
-/// pointed-to counters, and every memory instruction reports its coalesced
-/// address list through mem_access.
+/// region program: registers live in a host-owned array of kJitMaxWarp
+/// lanes per slot, metric deltas are accumulated into the pointed-to
+/// counters, and every memory instruction reports its coalesced address
+/// list through mem_access.
 struct JitWarpCtx {
   int warp_size = 0;
 
-  // Warp context (BlockState::BuildWarpContext outputs).
-  const double* tid_x = nullptr;
-  const double* tid_y = nullptr;
-  const double* gid_x = nullptr;
-  const double* gid_y = nullptr;
-  const int* tid_xi = nullptr;  // integer mirrors for fused coordinates
+  // Warp context (BlockState::BuildWarpContext outputs, as integers).
+  const int* tid_xi = nullptr;
   const int* tid_yi = nullptr;
   const int* gid_xi = nullptr;
   const int* gid_yi = nullptr;
@@ -87,13 +83,12 @@ struct JitWarpCtx {
   double image_w = 0.0;
   double image_h = 0.0;
 
-  // Register file: num_regs slots of kJitMaxWarp doubles; reg_types holds
-  // the runtime ScalarType tag per slot (raw enum value).
+  // Register file: num_regs slots of kJitMaxWarp doubles, scalar parameters
+  // seeded per warp. Values that live across the generated code's segments
+  // are kept here between them.
   double* regs = nullptr;
-  unsigned char* reg_types = nullptr;
-  // Mask file: num_masks slots of kJitMaxWarp bytes; slot 0 is the warp
-  // active mask.
-  unsigned char* masks = nullptr;
+  // The warp active mask (mask slot 0), kJitMaxWarp bytes.
+  const unsigned char* masks = nullptr;
 
   // Scratchpad tile of the current block.
   const float* tile = nullptr;

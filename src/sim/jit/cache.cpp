@@ -23,7 +23,12 @@ void JitCache::ResetForTesting() {
 
 JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
   Outcome out;
-  EmittedSource emitted = EmitNativeSource(ps);
+  Result<EmittedSource> emitted_or = EmitNativeSource(ps);
+  if (!emitted_or.ok()) {
+    out.error = emitted_or.status().ToString();
+    return out;
+  }
+  const EmittedSource emitted = std::move(emitted_or).take();
 
   support::Fnv1a key;
   key.Mix(emitted.source);
@@ -32,7 +37,6 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
   const std::uint64_t digest = key.digest();
 
   std::shared_ptr<Entry> entry;
-  bool owner = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto& bucket = map_[digest];
@@ -42,7 +46,6 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
       entry = std::make_shared<Entry>();
       entry->source = emitted.source;
       bucket.push_back(entry);
-      owner = true;
     } else {
       // In-flight deduplication: wait for the compiling thread.
       cv_.wait(lock, [&] { return entry->done; });
@@ -72,7 +75,6 @@ JitCache::Outcome JitCache::GetOrCompile(const ProgramSet& ps) {
     for (const auto& si : emitted.symbols) {
       NativeProgram::Entry e;
       e.region = si.region;
-      e.fused = si.fused;
       e.fn = reinterpret_cast<JitWarpFn>(
           native->module->Sym(si.symbol.c_str()));
       if (!e.fn) {
@@ -176,7 +178,7 @@ const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
       trace->IncrementCounter("jit.threaded");
     }
     LogWarn("native tier unavailable for " + ps.kernel_name + ": " +
-            outcome.error + " — staying on the threaded VM");
+            outcome.error + " — staying on the VM");
     return nullptr;
   }
   ts->program = outcome.program;

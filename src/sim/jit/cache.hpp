@@ -42,10 +42,6 @@ struct NativeProgram {
   struct Entry {
     ast::Region region = ast::Region::kInterior;
     JitWarpFn fn = nullptr;
-    /// Lane-fused emission: binding checks hoisted ahead of all side
-    /// effects — the runner pre-checks bindings and falls back to the VM
-    /// for launches that would error mid-program (see native_runner.cpp).
-    bool fused = false;
   };
   std::vector<Entry> fns;
 
@@ -113,9 +109,11 @@ class JitCache {
 
 /// The tiering decision for one launch with engine == kNative. Counts the
 /// launch, compiles through JitCache once the threshold is reached, and
-/// returns the native program when ready (else nullptr: run the threaded
-/// VM). Emits jit.hit / jit.compile / jit.cache_hit / jit.threaded /
-/// jit.error trace counters on `trace` when attached.
+/// returns the native program when ready (else nullptr: run the VM). Emits
+/// jit.hit / jit.compile / jit.cache_hit / jit.error trace counters on
+/// `trace` when attached, and jit.threaded for every launch that runs on
+/// the VM instead (the name predates the single VM dispatcher). A program
+/// set the emitter declines, or a failed toolchain run, stays on the VM.
 const NativeProgram* AcquireNative(const ProgramSet& ps, int threshold,
                                    TraceSink* trace);
 

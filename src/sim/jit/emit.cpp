@@ -1,7 +1,10 @@
 #include "sim/jit/emit.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
+#include <map>
 #include <set>
 
 #include "support/hash.hpp"
@@ -18,7 +21,6 @@ using ast::AssignOp;
 using ast::BinaryOp;
 using ast::BoundaryMode;
 using ast::ScalarType;
-using ast::ThreadIndexKind;
 using ast::UnaryOp;
 using hipacc::StrFormat;
 
@@ -41,7 +43,7 @@ std::string FLit(float v) {
 }
 
 /// The self-contained prelude shared by every generated TU: bit-literal
-/// constructors, the runtime type conversion, mask scan, boundary
+/// constructors, the runtime type conversion, boundary
 /// resolution (textually equivalent to dsl::ResolveBoundaryIndex +
 /// vm.cpp::ResolveCoord), and the RAII metric flusher. ScalarType /
 /// BoundaryMode enum values are baked as integers; the fingerprint pins
@@ -66,12 +68,6 @@ static inline double jit_conv(double v, int to) {
     case 1: return v != 0.0 ? 1.0 : 0.0;
     default: return 0.0;
   }
-}
-static inline double jit_as_f(double v) { return (double)(float)v; }
-static inline int jit_any(const unsigned char* m) {
-  for (int i = 0; i < 64; ++i)
-    if (m[i]) return 1;
-  return 0;
 }
 // dsl::ResolveBoundaryIndex with BoundaryMode baked:
 // 0=undefined 1=repeat 2=clamp 3=mirror 4=constant.
@@ -120,730 +116,577 @@ struct JitFlush {
     *c->insns += n;
   }
 };
-#define JR(k) (regs + (k) * 64)
-#define JM(k) (mks + (k) * 64)
 )jit";
 
-/// Emits the body of one region program as one extern "C" function.
+/// Register type tag of a slot no path into a segment has written yet (the
+/// VM's fresh-slot default, kFloat, is what a read would see).
+constexpr int kTagUnset = -2;
+/// Register type tags that disagree between paths joining at a segment.
+constexpr int kTagConflict = -1;
+
+/// How one executed instruction is emitted. Loop heads whose condition is
+/// decided at emit time become mask updates (kStaticLive / kStaticExit);
+/// the runtime branch closing a segment is kBranch.
+enum class StepKind : std::uint8_t {
+  kPlain,
+  kStaticLive,
+  kStaticExit,
+  kBranch,
+};
+
+struct Step {
+  std::int32_t pc;
+  StepKind kind;
+};
+
+/// Facts that flow along control-flow edges between segments: the static
+/// register type tags, and which mask slots are proven to hold an active
+/// lane (slot 0 always does: the runner skips warps without one).
+struct EdgeState {
+  std::vector<int> ty;
+  std::vector<char> nonempty;
+};
+
+/// Joins `from` into `into`; returns whether `into` changed.
+bool MergeInto(EdgeState* into, const EdgeState& from) {
+  bool changed = false;
+  for (std::size_t r = 0; r < into->ty.size(); ++r) {
+    int& t = into->ty[r];
+    const int f = from.ty[r];
+    const int joined = t == f || f == kTagUnset ? t
+                       : t == kTagUnset         ? f
+                                                : kTagConflict;
+    changed |= joined != t;
+    t = joined;
+  }
+  for (std::size_t m = 0; m < into->nonempty.size(); ++m) {
+    const char joined = into->nonempty[m] && from.nonempty[m];
+    changed |= joined != into->nonempty[m];
+    into->nonempty[m] = joined;
+  }
+  return changed;
+}
+
+/// The VM's type-tag update for one instruction (vm.cpp handlers).
+void ApplyTag(const Insn& I, std::vector<int>* ty) {
+  switch (I.op) {
+    case Op::kConst:
+    case Op::kConvert:
+    case Op::kUnary:
+    case Op::kBinary:
+    case Op::kSelect:
+    case Op::kCall:
+      (*ty)[I.dst] = TypeCode(I.type);
+      break;
+    case Op::kCopy:
+      (*ty)[I.dst] = (*ty)[I.a];
+      break;
+    case Op::kThreadIdx:
+    case Op::kLoopInit:
+      (*ty)[I.dst] = TypeCode(ScalarType::kInt);
+      break;
+    case Op::kLoadImage:
+    case Op::kLoadShared:
+    case Op::kLoadConst:
+      (*ty)[I.dst] = TypeCode(ScalarType::kFloat);
+      break;
+    default:
+      break;  // kAssign / kLoopInc keep the tag; the rest write no register
+  }
+}
+
+bool WritesReg(Op op) {
+  switch (op) {
+    case Op::kStore:
+    case Op::kBarrier:
+    case Op::kAccount:
+    case Op::kMaskIf:
+    case Op::kJumpIfNone:
+    case Op::kLoopHead:
+      return false;
+    default:
+      return true;
+  }
+}
+
+bool TwoOperandBuiltin(VmBuiltin fn) {
+  switch (fn) {
+    case VmBuiltin::kAtan2:
+    case VmBuiltin::kPow:
+    case VmBuiltin::kFmod:
+    case VmBuiltin::kFmin:
+    case VmBuiltin::kFmax:
+    case VmBuiltin::kMin:
+    case VmBuiltin::kMax:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Calls `reg` / `mask` for every register / mask slot the emitted code of
+/// one step reads (before the step's own writes).
+template <typename RegFn, typename MaskFn>
+void ForEachRead(const Insn& I, StepKind kind, RegFn reg, MaskFn mask) {
+  auto coord = [&](const Coord& c) {
+    if (c.kind == CoordKind::kReg) reg(c.reg);
+  };
+  switch (I.op) {
+    case Op::kConst:
+    case Op::kThreadIdx:
+    case Op::kBarrier:
+    case Op::kAccount:
+      break;
+    case Op::kCopy:
+    case Op::kLoopInit:
+      if (I.dst != I.a) reg(I.a);  // a self-copy only moves the tag
+      break;
+    case Op::kConvert:
+    case Op::kUnary:
+      reg(I.a);
+      break;
+    case Op::kBinary:
+      reg(I.a);
+      reg(I.b);
+      break;
+    case Op::kSelect:
+      reg(I.a);
+      reg(I.b);
+      reg(I.c);
+      break;
+    case Op::kCall:
+      reg(I.a);
+      if (TwoOperandBuiltin(static_cast<VmBuiltin>(I.sub))) reg(I.b);
+      break;
+    case Op::kAssign:  // masked read-modify-write of dst
+      reg(I.a);
+      reg(I.dst);
+      mask(I.mask);
+      break;
+    case Op::kLoadImage:
+    case Op::kLoadShared:
+    case Op::kLoadConst:
+      mask(I.mask);
+      coord(I.cx);
+      coord(I.cy);
+      break;
+    case Op::kStore:
+      reg(I.a);
+      mask(I.mask);
+      coord(I.cx);
+      coord(I.cy);
+      break;
+    case Op::kMaskIf:
+      reg(I.a);
+      mask(I.mask);
+      break;
+    case Op::kJumpIfNone:
+      mask(I.mask);
+      break;
+    case Op::kLoopHead:
+      if (kind == StepKind::kBranch) {
+        reg(I.a);
+        reg(I.b);
+        mask(I.mask);
+      } else if (kind == StepKind::kStaticLive && I.dst != I.mask) {
+        mask(I.mask);
+      }
+      break;
+    case Op::kLoopInc:
+      reg(I.dst);
+      mask(I.mask);
+      break;
+  }
+}
+
+/// Emits one region program as one extern "C" warp function.
+///
+/// The program is split into segments: straight-line runs that end at a
+/// branch whose direction depends on runtime values (kJumpIfNone, or a
+/// kLoopHead whose condition the emitter cannot decide). Loops whose trip
+/// count is decidable at emit time are unrolled inside a segment; a loop's
+/// back edge (kLoopInc) continues into its head, so a runtime loop's body
+/// segment ends with the next iteration's condition check. Each segment is
+/// one loop over lanes running its instructions in scalar locals, followed
+/// by the deferred memory-model replay and stores in instruction order,
+/// then one metric update with the segment's constant instruction count
+/// and costs, then a goto on the any-reduction of the branch mask — the
+/// same decision the VM takes with AnyActive. Values that live across
+/// segments stay in the host register file (ctx->regs) and in per-lane
+/// mask arrays.
 class FnEmitter {
  public:
   FnEmitter(const ProgramSet& ps, const Program& prog, std::string& out)
-      : ps_(ps), prog_(prog), out_(out) {}
+      : ps_(ps),
+        prog_(prog),
+        out_(out),
+        num_regs_(prog.num_regs > 0 ? prog.num_regs : 1),
+        num_masks_(prog.num_masks > 0 ? prog.num_masks : 1) {}
 
-  void Emit(const std::string& symbol) {
-    CollectLabels();
-    AnalyzeFusion();
-    out_ += StrFormat(
-        "\nextern \"C\" int %s(hipacc::sim::jit::JitWarpCtx* ctx) {\n",
-        symbol.c_str());
-    if (fused_)
-      EmitFusedBody();
-    else
-      EmitVectorBody();
-    out_ += "}\n";
-  }
-
-  bool fused() const { return fused_; }
-
- private:
-  void CollectLabels() {
-    for (const Insn& I : prog_.code)
-      if ((I.op == Op::kJumpIfNone || I.op == Op::kLoopHead ||
-           I.op == Op::kLoopInc) &&
-          I.jump >= 0)
-        labels_.insert(I.jump);
-  }
-
-  /// Lane fusion requires the executed instruction sequence to be the same
-  /// for every warp, so the emitter can replay it statically. Divergent
-  /// jumps (kJumpIfNone) are rejected outright. Counted loops are admitted
-  /// when their trip counts are decidable at emit time — init value, bound,
-  /// and increment all rooted in kConst — and their loop mask is
-  /// warp-uniform (slot 0 or a chain of uniformly-true loop heads): the
-  /// walk below then unrolls them into `schedule_`, the exact sequence of
-  /// executed instructions, which EmitFusedBody replays. Loaded and stored
-  /// buffers must also be disjoint — fused execution runs lanes in outer
-  /// order, which would reorder a read-after-write through global memory
-  /// within one warp (stores themselves are deferred to program order, so
-  /// store/store is safe).
-  void AnalyzeFusion() {
-    fused_ = false;
+  /// Appends the function, or returns why the program must stay on the VM.
+  Status Emit(const std::string& symbol) {
     std::set<int> loaded, stored;
     for (const Insn& I : prog_.code) {
-      if (I.op == Op::kJumpIfNone) return;
       if (I.op == Op::kLoadImage) loaded.insert(I.buffer);
       if (I.op == Op::kStore) stored.insert(I.buffer);
     }
+    // Lanes run in outer order and stores are deferred to the end of their
+    // segment, which would reorder a read-after-write through one buffer.
     for (int b : loaded)
-      if (stored.count(b)) return;
+      if (stored.count(b))
+        return Status::Unimplemented(
+            "native tier: buffer " +
+            ps_.buffer_names[static_cast<std::size_t>(b)] +
+            " is both loaded and stored");
+    HIPACC_RETURN_IF_ERROR(Analyze());
+    ComputeLiveness();
+    std::vector<std::string> segments;
+    for (std::size_t b = 0; b < segs_.size(); ++b)
+      segments.push_back(EmitSegment(b));
+    if (!decline_.empty())
+      return Status::Unimplemented("native tier: " + decline_);
 
-    // Static walk. `known` tracks registers whose double value is fully
-    // determined at emit time (constants and copies/increments thereof);
-    // `uniform` tracks mask slots currently equal to the warp active mask
-    // element-wise. Both follow exactly the updates the VM would perform.
-    const int num_regs = prog_.num_regs > 0 ? prog_.num_regs : 1;
-    struct Known {
-      bool ok = false;
-      double v = 0.0;
+    out_ += StrFormat(
+        "\nextern \"C\" int %s(hipacc::sim::jit::JitWarpCtx* ctx) {\n",
+        symbol.c_str());
+    out_ += "  const int W = ctx->warp_size;\n";
+    out_ += fchecks_;
+    out_ += "  JitFlush fl(ctx);\n";
+    out_ += fdecls_;
+    if (uses_reg_file_) out_ += "  double* const R = ctx->regs;\n";
+    for (int m = 1; m < num_masks_; ++m)
+      if (mask_arrays_.count(m))
+        out_ += StrFormat("  unsigned char M%d[64];\n", m);
+    for (std::size_t b = 0; b < segments.size(); ++b) {
+      if (labels_.count(static_cast<int>(b))) out_ += StrFormat("S%zu:\n", b);
+      out_ += segments[b];
+    }
+    if (done_used_) out_ += "done:\n";
+    out_ += "  return 0;\n}\n";
+    return Status::Ok();
+  }
+
+ private:
+  // ---- control-flow analysis ---------------------------------------------
+
+  struct Known {
+    bool ok = false;
+    double v = 0.0;
+    /// Mask slot whose lanes all hold `v` (0: every active lane).
+    int scope = 0;
+  };
+
+  struct Walk {
+    std::vector<Step> steps;
+    std::int32_t branch = -1;  ///< pc of the closing runtime branch, or -1
+    EdgeState out;
+    std::map<std::int32_t, int> head_evals;  ///< static head evaluations
+    std::int32_t demote = -1;  ///< static loop head to re-emit as runtime
+    std::string error;
+  };
+
+  struct Segment {
+    std::int32_t start = 0;
+    EdgeState in;
+    std::vector<Step> steps;
+    std::int32_t branch = -1;
+    int on_any = -1;   ///< successor when the branch mask has a lane
+    int on_none = -1;  ///< successor otherwise; -1 = program end
+    std::map<std::int32_t, int> head_evals;
+    std::vector<char> ue_reg, def_reg, ue_mask, def_mask;
+    std::vector<char> live_in_reg, live_out_reg, live_in_mask, live_out_mask;
+  };
+
+  static std::int32_t MostEvaluated(const std::map<std::int32_t, int>& evals) {
+    std::int32_t best = -1;
+    int count = 0;
+    for (const auto& [pc, n] : evals)
+      if (n > count) {
+        best = pc;
+        count = n;
+      }
+    return best;
+  }
+
+  /// Walks one segment from `start`, replaying the VM's control flow where
+  /// it is decidable at emit time. `known` tracks registers whose value is
+  /// the same emit-time constant on every lane of a mask slot (constants,
+  /// copies, loop increments); `alias` maps a mask slot to the slot it
+  /// equals lane-wise (an unrolled loop's iteration mask equals its entry
+  /// mask). Both are segment-local; type tags and non-empty masks cross
+  /// segment boundaries through EdgeState.
+  Walk WalkSegment(std::int32_t start, const EdgeState& in) const {
+    Walk w;
+    w.out = in;
+    EdgeState& st = w.out;
+    std::vector<Known> known(static_cast<std::size_t>(num_regs_));
+    std::vector<int> alias(static_cast<std::size_t>(num_masks_));
+    for (int m = 0; m < num_masks_; ++m) alias[static_cast<std::size_t>(m)] = m;
+    std::vector<std::int32_t> unrolling;  // active static loops, innermost last
+    auto covers = [&](const Known& k, int mask) {
+      return k.ok && (k.scope == 0 || k.scope == alias[mask]);
     };
-    std::vector<Known> known(static_cast<std::size_t>(num_regs));
-    std::set<int> uniform{0};
-    schedule_.clear();
+    auto write_mask = [&](int s) {
+      for (Known& k : known)
+        if (k.scope == s) k.ok = false;
+      for (int& a : alias)
+        if (a == s) a = static_cast<int>(&a - alias.data());
+    };
     const std::int32_t n = static_cast<std::int32_t>(prog_.code.size());
-    std::int32_t pc = 0;
+    std::int32_t pc = start;
     while (pc != n) {
-      if (pc < 0 || pc > n ||
-          static_cast<int>(schedule_.size()) >= kMaxFusedSteps) {
-        schedule_.clear();
-        return;
+      if (pc < 0 || pc > n) {
+        w.error = "jump target out of range";
+        return w;
+      }
+      if (!w.head_evals.empty() &&
+          static_cast<int>(w.steps.size()) >= kMaxFusedSteps) {
+        w.demote = MostEvaluated(w.head_evals);
+        return w;
       }
       const Insn& I = prog_.code[static_cast<std::size_t>(pc)];
+      if (I.op == Op::kJumpIfNone) {
+        if (!unrolling.empty()) {
+          w.demote = unrolling.back();
+          return w;
+        }
+        w.steps.push_back({pc, StepKind::kBranch});
+        w.branch = pc;
+        return w;
+      }
+      if (I.op == Op::kLoopHead) {
+        // Decided iff var and bound are emit-time constants on every lane
+        // of the entry mask; a live verdict additionally needs that mask
+        // non-empty, since the VM's any-reduction is what continues.
+        const bool decided = !runtime_heads_.count(pc) &&
+                             covers(known[I.a], I.mask) &&
+                             covers(known[I.b], I.mask);
+        const bool live = decided && known[I.a].v <= known[I.b].v;
+        if (!decided || (live && !st.nonempty[I.mask])) {
+          if (std::find(unrolling.begin(), unrolling.end(), pc) !=
+              unrolling.end())
+            w.demote = pc;  // peeled iterations: the loop is runtime after all
+          else if (!unrolling.empty())
+            w.demote = unrolling.back();
+          if (w.demote >= 0) return w;
+          write_mask(I.dst);
+          w.steps.push_back({pc, StepKind::kBranch});
+          w.branch = pc;
+          return w;
+        }
+        ++w.head_evals[pc];
+        write_mask(I.dst);
+        const int entry = alias[I.mask];
+        if (live) {
+          if (unrolling.empty() || unrolling.back() != pc)
+            unrolling.push_back(pc);
+          alias[I.dst] = entry;
+          st.nonempty[I.dst] = 1;
+          w.steps.push_back({pc, StepKind::kStaticLive});
+          ++pc;
+        } else {
+          if (!unrolling.empty() && unrolling.back() == pc)
+            unrolling.pop_back();
+          st.nonempty[I.dst] = 0;
+          w.steps.push_back({pc, StepKind::kStaticExit});
+          pc = I.jump;
+        }
+        continue;
+      }
       switch (I.op) {
         case Op::kConst:
-          known[I.dst] = {true, I.imm};
-          schedule_.push_back({pc, false});
-          ++pc;
+          known[I.dst] = {true, I.imm, 0};
           break;
         case Op::kCopy:
         case Op::kLoopInit:
           known[I.dst] = known[I.a];
-          schedule_.push_back({pc, false});
-          ++pc;
           break;
-        case Op::kLoopHead: {
-          // Warps with no active lane never reach the generated function
-          // (the runner skips them, as does the VM), so a uniform-true
-          // condition chain rooted at slot 0 guarantees `any` is set and
-          // the VM takes the same branch the walk takes here.
-          if (!uniform.count(I.mask) || !known[I.a].ok || !known[I.b].ok) {
-            schedule_.clear();
-            return;
-          }
-          const bool live = known[I.a].v <= known[I.b].v;
-          schedule_.push_back({pc, !live});
-          if (live) {
-            uniform.insert(static_cast<int>(I.dst));
-            ++pc;
+        case Op::kLoopInc: {
+          // Only lanes of the iteration mask advance.
+          Known& k = known[I.dst];
+          if (covers(k, I.mask)) {
+            k.v += I.imm;
+            k.scope = alias[I.mask];
           } else {
-            uniform.erase(static_cast<int>(I.dst));
-            pc = I.jump;
+            k.ok = false;
           }
           break;
         }
-        case Op::kLoopInc:
-          if (known[I.dst].ok) known[I.dst].v += I.imm;
-          schedule_.push_back({pc, false});
-          pc = I.jump;
-          break;
         case Op::kMaskIf:
-          uniform.erase(static_cast<int>(I.dst));
-          uniform.erase(static_cast<int>(I.b));
-          schedule_.push_back({pc, false});
-          ++pc;
-          break;
-        case Op::kStore:
-        case Op::kBarrier:
-        case Op::kAccount:
-          schedule_.push_back({pc, false});
-          ++pc;
+          write_mask(I.dst);
+          write_mask(I.b);
+          st.nonempty[I.dst] = 0;
+          st.nonempty[I.b] = 0;
           break;
         default:
-          // Every remaining op writes a data register whose value is not
-          // tracked statically.
-          known[I.dst].ok = false;
-          schedule_.push_back({pc, false});
-          ++pc;
+          if (WritesReg(I.op)) known[I.dst].ok = false;
           break;
       }
+      ApplyTag(I, &st.ty);
+      w.steps.push_back({pc, StepKind::kPlain});
+      pc = I.op == Op::kLoopInc ? I.jump : pc + 1;
     }
-    fused_ = true;
+    return w;
   }
 
-  void EmitVectorBody() {
-    // The register/mask/type files are function-local: unlike the VM's
-    // persistent scratch they never escape this frame (only addrs arrays
-    // and stored pixels do), so the optimizer can keep whole def-use
-    // chains in machine registers and vectorize across instructions. This
-    // is sound because compiled programs write every register/mask slot
-    // before reading it (the same invariant the VM's reused thread-local
-    // scratch depends on); only the externally seeded state — the warp
-    // active mask (slot 0) and the scalar parameter registers — is copied
-    // in from the host context.
-    const int num_regs = prog_.num_regs > 0 ? prog_.num_regs : 1;
-    const int num_masks = prog_.num_masks > 0 ? prog_.num_masks : 1;
-    out_ += StrFormat(
-        "  const int W = ctx->warp_size;\n"
-        "  double regs[%d * 64];\n"
-        "  unsigned char rt[%d];\n"
-        "  unsigned char mks[%d * 64];\n"
-        "  std::memset(rt, 4, sizeof(rt));\n"
-        "  std::memset(mks, 0, sizeof(mks));\n"
-        "  std::memcpy(mks, ctx->masks, 64);\n",
-        num_regs, num_regs, num_masks);
-    for (const ParamSeed& p : prog_.params)
-      out_ += StrFormat(
-          "  std::memcpy(regs + %d * 64, ctx->regs + %d * 64,"
-          " 64 * sizeof(double));"
-          " rt[%d] = %d;\n",
-          static_cast<int>(p.reg), static_cast<int>(p.reg),
-          static_cast<int>(p.reg), static_cast<int>(p.type));
-    out_ +=
-        "  JitFlush fl(ctx);\n"
-        "  (void)W; (void)regs; (void)rt; (void)mks;\n";
+  /// Discovers the segments and their entry states (a forward data-flow
+  /// fixpoint over the segment graph). A static loop that cannot stay
+  /// static — its body holds a runtime branch, a later iteration becomes
+  /// undecidable, or unrolling exceeds the budget — is demoted to a
+  /// runtime loop and the analysis restarts; every restart demotes a
+  /// different loop, so this terminates.
+  Status Analyze() {
     const std::int32_t n = static_cast<std::int32_t>(prog_.code.size());
-    for (std::int32_t pc = 0; pc < n; ++pc) {
-      if (labels_.count(pc)) out_ += StrFormat("L%d:;\n", pc);
-      EmitInsn(pc, prog_.code[static_cast<std::size_t>(pc)]);
-    }
-    if (labels_.count(n)) out_ += StrFormat("L%d:;\n", n);
-    out_ += "  return 0;\n";
-  }
-
-  /// One coordinate operand materialised into a stack array, dispatch baked
-  /// (vm.cpp CoordLanes). `mk` must be in scope for register coordinates.
-  void EmitCoord(const Coord& c, const char* arr) {
-    switch (c.kind) {
-      case CoordKind::kReg:
-        out_ += StrFormat(
-            "  { const double* rv = JR(%u);\n"
-            "    for (int l = 0; l < W; ++l) %s[l] = mk[l] ? (int)rv[l] : 0; "
-            "}\n",
-            c.reg, arr);
-        break;
-      case CoordKind::kGidX:
-      case CoordKind::kGidY:
-      case CoordKind::kTidX:
-      case CoordKind::kTidY: {
-        const char* src = c.kind == CoordKind::kGidX   ? "gid_xi"
-                          : c.kind == CoordKind::kGidY ? "gid_yi"
-                          : c.kind == CoordKind::kTidX ? "tid_xi"
-                                                       : "tid_yi";
-        out_ += StrFormat(
-            "  for (int l = 0; l < W; ++l) %s[l] = ctx->%s[l] + (%d);\n", arr,
-            src, c.off);
-        break;
-      }
-      case CoordKind::kImm:
-        out_ += StrFormat("  for (int l = 0; l < W; ++l) %s[l] = %d;\n", arr,
-                          c.off);
-        break;
-    }
-  }
-
-  void EmitInsn(std::int32_t pc, const Insn& I) {
-    out_ += StrFormat("  // [%d]\n", pc);
-    out_ += "  ++fl.n;";
-    if (I.alu_cost) out_ += StrFormat(" fl.alu += %uu;", I.alu_cost);
-    if (I.sfu_cost) out_ += StrFormat(" fl.sfu += %uu;", I.sfu_cost);
-    out_ += "\n";
-    const int T = TypeCode(I.type);
-    switch (I.op) {
-      case Op::kConst:
-        out_ += StrFormat(
-            "  { double* d = JR(%u); rt[%u] = %d;\n"
-            "    for (int l = 0; l < W; ++l) d[l] = %s; }\n",
-            I.dst, I.dst, T, DLit(I.imm).c_str());
-        break;
-      case Op::kCopy:
-        if (I.dst == I.a) {
-          out_ += StrFormat("  rt[%u] = rt[%u];\n", I.dst, I.a);
-        } else {
-          out_ += StrFormat(
-              "  { const double* s = JR(%u); double* d = JR(%u); rt[%u] = "
-              "rt[%u];\n"
-              "    for (int l = 0; l < W; ++l) d[l] = s[l]; }\n",
-              I.a, I.dst, I.dst, I.a);
+    EdgeState entry;
+    entry.ty.assign(static_cast<std::size_t>(num_regs_), kTagUnset);
+    for (const ParamSeed& p : prog_.params)
+      entry.ty[p.reg] = static_cast<int>(p.type);
+    entry.nonempty.assign(static_cast<std::size_t>(num_masks_), 0);
+    entry.nonempty[0] = 1;
+    for (;;) {
+      segs_.clear();
+      std::map<std::int32_t, int> seg_at;
+      std::deque<int> work;
+      std::vector<char> queued;
+      auto reach = [&](std::int32_t pc, const EdgeState& state) -> int {
+        if (pc == n) return -1;
+        auto it = seg_at.find(pc);
+        if (it == seg_at.end()) {
+          it = seg_at.emplace(pc, static_cast<int>(segs_.size())).first;
+          segs_.emplace_back();
+          segs_.back().start = pc;
+          segs_.back().in = state;
+          queued.push_back(1);
+          work.push_back(it->second);
+        } else if (MergeInto(&segs_[static_cast<std::size_t>(it->second)].in,
+                             state) &&
+                   !queued[static_cast<std::size_t>(it->second)]) {
+          queued[static_cast<std::size_t>(it->second)] = 1;
+          work.push_back(it->second);
         }
-        break;
-      case Op::kConvert:
-        if (I.dst == I.a) {
-          out_ += StrFormat(
-              "  { double* d = JR(%u);\n"
-              "    if (rt[%u] != %d)\n"
-              "      for (int l = 0; l < W; ++l) d[l] = jit_conv(d[l], %d);\n"
-              "    rt[%u] = %d; }\n",
-              I.dst, I.a, T, T, I.dst, T);
-        } else {
-          out_ += StrFormat(
-              "  { const double* s = JR(%u); double* d = JR(%u);\n"
-              "    if (rt[%u] == %d) {\n"
-              "      for (int l = 0; l < W; ++l) d[l] = s[l];\n"
-              "    } else {\n"
-              "      for (int l = 0; l < W; ++l) d[l] = jit_conv(s[l], %d);\n"
-              "    }\n"
-              "    rt[%u] = %d; }\n",
-              I.a, I.dst, I.a, T, T, I.dst, T);
+        return it->second;
+      };
+      if (reach(0, entry) < 0) return Status::Ok();  // empty program
+      std::int32_t demote = -1;
+      while (!work.empty() && demote < 0) {
+        const int b = work.front();
+        work.pop_front();
+        queued[static_cast<std::size_t>(b)] = 0;
+        Walk w = WalkSegment(segs_[static_cast<std::size_t>(b)].start,
+                             segs_[static_cast<std::size_t>(b)].in);
+        if (!w.error.empty())
+          return Status::Unimplemented("native tier: " + w.error);
+        demote = w.demote;
+        if (demote >= 0) break;
+        int on_any = -1, on_none = -1;
+        if (w.branch >= 0) {
+          const Insn& I = prog_.code[static_cast<std::size_t>(w.branch)];
+          EdgeState any_edge = w.out;
+          EdgeState none_edge = w.out;
+          if (I.op == Op::kJumpIfNone) {
+            any_edge.nonempty[I.mask] = 1;
+          } else {
+            any_edge.nonempty[I.dst] = 1;
+            none_edge.nonempty[I.dst] = 0;
+          }
+          on_any = reach(w.branch + 1, any_edge);
+          on_none = reach(I.jump, none_edge);
         }
-        break;
-      case Op::kUnary: {
-        const char* body =
-            static_cast<UnaryOp>(I.sub) == UnaryOp::kNot
-                ? "d[l] = s[l] == 0.0 ? 1.0 : 0.0;"
-                : (I.type == ScalarType::kFloat
-                       ? "d[l] = (double)(-(float)s[l]);"
-                       : "d[l] = -s[l];");
-        out_ += StrFormat(
-            "  { const double* s = JR(%u); double* d = JR(%u);\n"
-            "    for (int l = 0; l < W; ++l) %s\n"
-            "    rt[%u] = %d; }\n",
-            I.a, I.dst, body, I.dst, T);
-        break;
+        Segment& seg = segs_[static_cast<std::size_t>(b)];
+        seg.steps = std::move(w.steps);
+        seg.branch = w.branch;
+        seg.on_any = on_any;
+        seg.on_none = on_none;
+        seg.head_evals = std::move(w.head_evals);
       }
-      case Op::kBinary:
-        EmitBinary(I);
-        break;
-      case Op::kSelect:
-        out_ += StrFormat(
-            "  { const double* c = JR(%u); const double* t = JR(%u);\n"
-            "    const double* f = JR(%u); double* d = JR(%u);\n"
-            "    for (int l = 0; l < W; ++l) {\n"
-            "      const double cv = c[l]; const double tv = t[l];\n"
-            "      const double fv = f[l];\n"
-            "      d[l] = cv != 0.0 ? tv : fv;\n"
-            "    }\n"
-            "    rt[%u] = %d; }\n",
-            I.a, I.b, I.c, I.dst, I.dst, T);
-        break;
-      case Op::kCall:
-        EmitCall(I);
-        break;
-      case Op::kThreadIdx:
-        EmitThreadIdx(I);
-        break;
-      case Op::kAssign:
-        EmitAssign(I);
-        break;
-      case Op::kLoadImage:
-        EmitLoadImage(I);
-        break;
-      case Op::kLoadShared:
-        out_ += StrFormat(
-            "  { double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "  int cxs[64]; int cys[64];\n",
-            I.dst, I.mask);
-        EmitCoord(I.cx, "cxs");
-        EmitCoord(I.cy, "cys");
-        out_ += StrFormat(
-            "  const float* tile = ctx->tile;\n"
-            "  const int tw = ctx->tile_w; const int th = ctx->tile_h;\n"
-            "  unsigned long long addrs[64]; int na = 0;\n"
-            "  for (int l = 0; l < W; ++l) {\n"
-            "    if (!mk[l]) { d[l] = 0.0; continue; }\n"
-            "    const int sx = cxs[l]; const int sy = cys[l];\n"
-            "    if (sx < 0 || sx >= tw || sy < 0 || sy >= th) {\n"
-            "      ++fl.oob; d[l] = 0.0; continue;\n"
-            "    }\n"
-            "    const unsigned long long addr =\n"
-            "        (unsigned long long)sy * tw + sx;\n"
-            "    d[l] = (double)tile[addr]; addrs[na++] = addr;\n"
-            "  }\n"
-            "  rt[%u] = 4;\n"
-            "  if (na) ctx->mem_access(ctx->host, 2, addrs, na); }\n",
-            I.dst);
-        break;
-      case Op::kLoadConst: {
-        const int width =
-            ps_.const_masks[static_cast<std::size_t>(I.buffer)].width;
-        out_ += StrFormat(
-            "  { const hipacc::sim::jit::JitMaskTable* mt = "
-            "&ctx->mask_tables[%d];\n"
-            "  if (!mt->bound) return (3 << 16) | %d;\n"
-            "  double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "  int cxs[64]; int cys[64];\n",
-            I.buffer, I.buffer, I.dst, I.mask);
-        EmitCoord(I.cx, "cxs");
-        EmitCoord(I.cy, "cys");
-        out_ += StrFormat(
-            "  const float* mdata = mt->data;\n"
-            "  const unsigned long long msize = mt->size;\n"
-            "  unsigned long long addrs[64]; int na = 0;\n"
-            "  for (int l = 0; l < W; ++l) {\n"
-            "    if (!mk[l]) { d[l] = 0.0; continue; }\n"
-            "    const unsigned long long addr =\n"
-            "        (unsigned long long)cys[l] * %d + cxs[l];\n"
-            "    if (addr >= msize) { ++fl.oob; d[l] = 0.0; continue; }\n"
-            "    d[l] = (double)mdata[addr]; addrs[na++] = addr;\n"
-            "  }\n"
-            "  rt[%u] = 4;\n"
-            "  if (na) ctx->mem_access(ctx->host, 3, addrs, na); }\n",
-            width, I.dst);
-        break;
-      }
-      case Op::kStore:
-        out_ += StrFormat(
-            "  { const hipacc::sim::jit::JitBuffer* buf = &ctx->buffers[%d];\n"
-            "  if (!buf->bound || !buf->writable) return (2 << 16) | %d;\n"
-            "  const double* v = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "  int cxs[64]; int cys[64];\n",
-            I.buffer, I.buffer, I.a, I.mask);
-        EmitCoord(I.cx, "cxs");
-        EmitCoord(I.cy, "cys");
-        out_ +=
-            "  const int bw = buf->width; const int bh = buf->height;\n"
-            "  const int stride = buf->stride; float* data = buf->data;\n"
-            "  unsigned long long addrs[64]; int na = 0;\n"
-            "  for (int l = 0; l < W; ++l) {\n"
-            "    if (!mk[l]) continue;\n"
-            "    const int px = cxs[l]; const int py = cys[l];\n"
-            "    if (px < 0 || px >= bw || py < 0 || py >= bh) {\n"
-            "      ++fl.oob; continue;\n"
-            "    }\n"
-            "    const unsigned long long addr =\n"
-            "        (unsigned long long)py * stride + px;\n"
-            "    data[addr] = (float)v[l]; addrs[na++] = addr;\n"
-            "  }\n"
-            "  if (na) ctx->mem_access(ctx->host, 1, addrs, na); }\n";
-        break;
-      case Op::kBarrier:
-      case Op::kAccount:
-        out_ += "  ;\n";
-        break;
-      case Op::kMaskIf:
-        out_ += StrFormat(
-            "  { const double* c = JR(%u);\n"
-            "    unsigned char in[64];\n"
-            "    std::memcpy(in, JM(%u), 64);\n"
-            "    unsigned char* tm = JM(%u); unsigned char* em = JM(%u);\n"
-            "    std::memcpy(tm, in, 64); std::memcpy(em, in, 64);\n"
-            "    for (int l = 0; l < W; ++l) {\n"
-            "      const int taken = in[l] && c[l] != 0.0;\n"
-            "      tm[l] = (unsigned char)taken;\n"
-            "      em[l] = (unsigned char)(in[l] && !taken);\n"
-            "    } }\n",
-            I.a, I.mask, I.dst, I.b);
-        break;
-      case Op::kJumpIfNone:
-        out_ += StrFormat("  if (!jit_any(JM(%u))) goto L%d;\n", I.mask,
-                          I.jump);
-        break;
-      case Op::kLoopInit:
-        if (I.dst == I.a) {
-          out_ += StrFormat("  rt[%u] = 2;\n", I.dst);
-        } else {
-          out_ += StrFormat(
-              "  std::memcpy(JR(%u), JR(%u), 64 * sizeof(double)); rt[%u] = "
-              "2;\n",
-              I.dst, I.a, I.dst);
+      if (demote < 0) {
+        // Unrolling budget across all segments (a static loop duplicated
+        // into several segments counts once per copy).
+        std::size_t total = 0;
+        std::map<std::int32_t, int> evals;
+        for (const Segment& seg : segs_) {
+          total += seg.steps.size();
+          for (const auto& [pc, count] : seg.head_evals) evals[pc] += count;
         }
-        break;
-      case Op::kLoopHead:
-        out_ += StrFormat(
-            "  { const double* var = JR(%u); const double* hi = JR(%u);\n"
-            "    const unsigned char* in = JM(%u); unsigned char* im = "
-            "JM(%u);\n",
-            I.a, I.b, I.mask, I.dst);
-        if (I.dst != I.mask) out_ += "    std::memcpy(im, in, 64);\n";
-        out_ += StrFormat(
-            "    int any = 0;\n"
-            "    for (int l = 0; l < W; ++l) {\n"
-            "      const int live = in[l] && var[l] <= hi[l];\n"
-            "      im[l] = (unsigned char)live;\n"
-            "      any = any || live;\n"
-            "    }\n"
-            "    if (!any) goto L%d; }\n",
-            I.jump);
-        break;
-      case Op::kLoopInc:
-        out_ += StrFormat(
-            "  { double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-            "    for (int l = 0; l < W; ++l)\n"
-            "      if (mk[l]) d[l] += %s;\n"
-            "    goto L%d; }\n",
-            I.dst, I.mask, DLit(I.imm).c_str(), I.jump);
-        break;
-    }
-  }
-
-  void EmitBinary(const Insn& I) {
-    const BinaryOp op = static_cast<BinaryOp>(I.sub);
-    const int T = TypeCode(I.type);
-    out_ += StrFormat(
-        "  { const double* A = JR(%u); const double* B = JR(%u);\n"
-        "    double* D = JR(%u);\n",
-        I.a, I.b, I.dst);
-    // Promote(a, b) == kFloat iff either operand type is kFloat. Only the
-    // four arithmetic ops (and the div cost) depend on it.
-    const bool needs_fm = op == BinaryOp::kAdd || op == BinaryOp::kSub ||
-                          op == BinaryOp::kMul || op == BinaryOp::kDiv;
-    if (needs_fm)
-      out_ += StrFormat("    const int fm = rt[%u] == 4 || rt[%u] == 4;\n",
-                        I.a, I.b);
-    if (op == BinaryOp::kDiv) out_ += "    fl.alu += fm ? 5u : 16u;\n";
-    auto lanes = [&](const char* body) {
-      out_ += StrFormat(
-          "    for (int l = 0; l < W; ++l) {\n"
-          "      const double x = A[l]; const double y = B[l]; (void)y;\n"
-          "      %s\n"
-          "    }\n",
-          body);
-    };
-    switch (op) {
-      case BinaryOp::kAdd:
-      case BinaryOp::kSub:
-      case BinaryOp::kMul: {
-        const char sym = op == BinaryOp::kAdd ? '+'
-                         : op == BinaryOp::kSub ? '-'
-                                                : '*';
-        out_ += "    if (fm) {\n";
-        lanes(StrFormat("D[l] = (double)((float)x %c (float)y);", sym).c_str());
-        out_ += "    } else {\n";
-        lanes(StrFormat("D[l] = x %c y;", sym).c_str());
-        out_ += "    }\n";
-        break;
+        if (static_cast<int>(total) > kMaxFusedSteps)
+          demote = MostEvaluated(evals);
       }
-      case BinaryOp::kDiv:
-        out_ += "    if (fm) {\n";
-        lanes("D[l] = (double)((float)x / (float)y);");
-        out_ += "    } else {\n";
-        lanes(
-            "const long long yi = (long long)y;\n"
-            "      D[l] = yi == 0 ? 0.0 : (double)((long long)x / yi);");
-        out_ += "    }\n";
-        break;
-      case BinaryOp::kMod:
-        lanes(
-            "const long long yi = (long long)y;\n"
-            "      D[l] = yi == 0 ? 0.0 : (double)((long long)x % yi);");
-        break;
-      case BinaryOp::kLt:
-        lanes("D[l] = x < y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kLe:
-        lanes("D[l] = x <= y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kGt:
-        lanes("D[l] = x > y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kGe:
-        lanes("D[l] = x >= y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kEq:
-        lanes("D[l] = x == y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kNe:
-        lanes("D[l] = x != y ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kAnd:
-        lanes("D[l] = (x != 0.0 && y != 0.0) ? 1.0 : 0.0;");
-        break;
-      case BinaryOp::kOr:
-        lanes("D[l] = (x != 0.0 || y != 0.0) ? 1.0 : 0.0;");
-        break;
-    }
-    out_ += StrFormat("    rt[%u] = %d; }\n", I.dst, T);
-  }
-
-  // EvalBuiltinLane: float builtins compute on (float)x via the float
-  // std:: overloads (same libm entry points as the VM); min/max/abs
-  // operate on the raw double lanes.
-  static const char* BuiltinExpr(VmBuiltin fn, bool* two_out) {
-    const char* expr = "0.0";
-    bool two = false;
-    switch (fn) {
-      case VmBuiltin::kExp: expr = "(double)std::exp((float)x)"; break;
-      case VmBuiltin::kExp2: expr = "(double)std::exp2((float)x)"; break;
-      case VmBuiltin::kLog: expr = "(double)std::log((float)x)"; break;
-      case VmBuiltin::kLog2: expr = "(double)std::log2((float)x)"; break;
-      case VmBuiltin::kSqrt: expr = "(double)std::sqrt((float)x)"; break;
-      case VmBuiltin::kRsqrt:
-        expr = "(double)(1.0f / std::sqrt((float)x))";
-        break;
-      case VmBuiltin::kSin: expr = "(double)std::sin((float)x)"; break;
-      case VmBuiltin::kCos: expr = "(double)std::cos((float)x)"; break;
-      case VmBuiltin::kTan: expr = "(double)std::tan((float)x)"; break;
-      case VmBuiltin::kAtan: expr = "(double)std::atan((float)x)"; break;
-      case VmBuiltin::kAtan2:
-        expr = "(double)std::atan2((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kPow:
-        expr = "(double)std::pow((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFmod:
-        expr = "(double)std::fmod((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFabs: expr = "(double)std::fabs((float)x)"; break;
-      case VmBuiltin::kFmin:
-        expr = "(double)std::fmin((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFmax:
-        expr = "(double)std::fmax((float)x, (float)y)";
-        two = true;
-        break;
-      case VmBuiltin::kFloor: expr = "(double)std::floor((float)x)"; break;
-      case VmBuiltin::kCeil: expr = "(double)std::ceil((float)x)"; break;
-      case VmBuiltin::kRound: expr = "(double)std::round((float)x)"; break;
-      case VmBuiltin::kMin:
-        expr = "std::min(x, y)";
-        two = true;
-        break;
-      case VmBuiltin::kMax:
-        expr = "std::max(x, y)";
-        two = true;
-        break;
-      case VmBuiltin::kAbs: expr = "std::fabs(x)"; break;
-    }
-    *two_out = two;
-    return expr;
-  }
-
-  void EmitCall(const Insn& I) {
-    bool two = false;
-    const char* expr = BuiltinExpr(static_cast<VmBuiltin>(I.sub), &two);
-    out_ += StrFormat(
-        "  { const double* A = JR(%u); const double* B = JR(%u);\n"
-        "    double* D = JR(%u); (void)B;\n"
-        "    for (int l = 0; l < W; ++l) {\n",
-        I.a, I.b, I.dst);
-    out_ += "      const double x = A[l];";
-    if (two) out_ += " const double y = B[l];";
-    out_ += "\n";
-    out_ += StrFormat("      D[l] = %s;\n    }\n    rt[%u] = %d; }\n", expr,
-                      I.dst, TypeCode(I.type));
-  }
-
-  void EmitThreadIdx(const Insn& I) {
-    const ThreadIndexKind kind = static_cast<ThreadIndexKind>(I.sub);
-    const char* lane_src = nullptr;
-    const char* scalar_src = nullptr;
-    switch (kind) {
-      case ThreadIndexKind::kThreadIdxX: lane_src = "tid_x"; break;
-      case ThreadIndexKind::kThreadIdxY: lane_src = "tid_y"; break;
-      case ThreadIndexKind::kGlobalIdX: lane_src = "gid_x"; break;
-      case ThreadIndexKind::kGlobalIdY: lane_src = "gid_y"; break;
-      case ThreadIndexKind::kBlockIdxX: scalar_src = "bix"; break;
-      case ThreadIndexKind::kBlockIdxY: scalar_src = "biy"; break;
-      case ThreadIndexKind::kBlockDimX: scalar_src = "block_dim_x"; break;
-      case ThreadIndexKind::kBlockDimY: scalar_src = "block_dim_y"; break;
-      case ThreadIndexKind::kGridDimX: scalar_src = "grid_dim_x"; break;
-      case ThreadIndexKind::kGridDimY: scalar_src = "grid_dim_y"; break;
-      case ThreadIndexKind::kImageW: scalar_src = "image_w"; break;
-      case ThreadIndexKind::kImageH: scalar_src = "image_h"; break;
-    }
-    if (lane_src) {
-      out_ += StrFormat(
-          "  { double* d = JR(%u);\n"
-          "    for (int l = 0; l < W; ++l) d[l] = ctx->%s[l];\n"
-          "    rt[%u] = 2; }\n",
-          I.dst, lane_src, I.dst);
-    } else {
-      out_ += StrFormat(
-          "  { double* d = JR(%u); const double v = ctx->%s;\n"
-          "    for (int l = 0; l < W; ++l) d[l] = v;\n"
-          "    rt[%u] = 2; }\n",
-          I.dst, scalar_src, I.dst);
+      if (demote < 0) return Status::Ok();
+      runtime_heads_.insert(demote);
     }
   }
 
-  void EmitAssign(const Insn& I) {
-    const AssignOp op = static_cast<AssignOp>(I.sub);
-    const int T = TypeCode(I.type);
-    // CombineLane's folded type: float iff the declared type is float,
-    // otherwise the integer paths (AssignLanes' kFolded).
-    const bool fm = I.type == ScalarType::kFloat;
-    const char* combine = "d[l] = rhs;";
-    switch (op) {
-      case AssignOp::kAssign:
-        break;
-      case AssignOp::kAddAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) + jit_as_f(rhs));"
-                     : "d[l] = d[l] + rhs;";
-        break;
-      case AssignOp::kSubAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) - jit_as_f(rhs));"
-                     : "d[l] = d[l] - rhs;";
-        break;
-      case AssignOp::kMulAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) * jit_as_f(rhs));"
-                     : "d[l] = d[l] * rhs;";
-        break;
-      case AssignOp::kDivAssign:
-        combine = fm ? "d[l] = jit_as_f(jit_as_f(d[l]) / jit_as_f(rhs));"
-                     : "d[l] = rhs != 0.0 ? (double)((long long)d[l] / "
-                       "(long long)rhs) : 0.0;";
-        break;
+  /// Backward liveness of registers and mask slots over the segment graph:
+  /// a segment loads the values it reads before writing, and stores the
+  /// values it writes that a successor may read.
+  void ComputeLiveness() {
+    const std::size_t nr = static_cast<std::size_t>(num_regs_);
+    const std::size_t nm = static_cast<std::size_t>(num_masks_);
+    for (Segment& seg : segs_) {
+      seg.ue_reg.assign(nr, 0);
+      seg.def_reg.assign(nr, 0);
+      seg.ue_mask.assign(nm, 0);
+      seg.def_mask.assign(nm, 0);
+      for (const Step& s : seg.steps) {
+        const Insn& I = prog_.code[static_cast<std::size_t>(s.pc)];
+        ForEachRead(
+            I, s.kind,
+            [&](unsigned r) {
+              if (!seg.def_reg[r]) seg.ue_reg[r] = 1;
+            },
+            [&](unsigned m) {
+              if (m != 0 && !seg.def_mask[m]) seg.ue_mask[m] = 1;
+            });
+        if (WritesReg(I.op)) seg.def_reg[I.dst] = 1;
+        if (I.op == Op::kMaskIf) {
+          seg.def_mask[I.dst] = 1;
+          seg.def_mask[I.b] = 1;
+        } else if (I.op == Op::kLoopHead) {
+          seg.def_mask[I.dst] = 1;
+        }
+      }
+      seg.live_in_reg = seg.ue_reg;
+      seg.live_in_mask = seg.ue_mask;
+      seg.live_out_reg.assign(nr, 0);
+      seg.live_out_mask.assign(nm, 0);
     }
-    out_ += StrFormat(
-        "  { const double* s = JR(%u); double* d = JR(%u);\n"
-        "    const unsigned char* mk = JM(%u);\n"
-        "    const int cvt = rt[%u] != %d;\n"
-        "    for (int l = 0; l < W; ++l) {\n"
-        "      if (!mk[l]) continue;\n"
-        "      const double rhs = cvt ? jit_conv(s[l], %d) : s[l];\n"
-        "      %s\n"
-        "    } }\n",
-        I.a, I.dst, I.mask, I.a, T, T, combine);
-  }
-
-  void EmitLoadImage(const Insn& I) {
-    const bool tex = I.sub == 1;
-    const bool hw = I.hw_bh || tex;
-    const int mode = static_cast<int>(I.boundary);
-    out_ += StrFormat(
-        "  { const hipacc::sim::jit::JitBuffer* buf = &ctx->buffers[%d];\n"
-        "  if (!buf->bound) return (1 << 16) | %d;\n"
-        "  double* d = JR(%u); const unsigned char* mk = JM(%u);\n"
-        "  int cxs[64]; int cys[64];\n",
-        I.buffer, I.buffer, I.dst, I.mask);
-    EmitCoord(I.cx, "cxs");
-    EmitCoord(I.cy, "cys");
-    out_ +=
-        "  const int bw = buf->width; const int bh = buf->height;\n"
-        "  const int stride = buf->stride; const float* data = buf->data;\n"
-        "  unsigned long long addrs[64]; int na = 0;\n"
-        "  for (int l = 0; l < W; ++l) {\n"
-        "    if (!mk[l]) { d[l] = 0.0; continue; }\n"
-        "    const int cx = cxs[l]; const int cy = cys[l];\n"
-        "    if ((unsigned)cx < (unsigned)bw && (unsigned)cy < (unsigned)bh) "
-        "{\n"
-        "      const unsigned long long addr =\n"
-        "          (unsigned long long)cy * stride + cx;\n"
-        "      d[l] = (double)data[addr]; addrs[na++] = addr; continue;\n"
-        "    }\n";
-    if (I.boundary == BoundaryMode::kConstant && !I.hw_bh) {
-      out_ += StrFormat(
-          "    {\n"
-          "      const int oob_x = (cx < 0 && %d) || (cx >= bw && %d);\n"
-          "      const int oob_y = (cy < 0 && %d) || (cy >= bh && %d);\n"
-          "      if (oob_x || oob_y) { d[l] = (double)%s; continue; }\n"
-          "    }\n",
-          I.checks.lo_x ? 1 : 0, I.checks.hi_x ? 1 : 0, I.checks.lo_y ? 1 : 0,
-          I.checks.hi_y ? 1 : 0, FLit(I.cvalue).c_str());
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t i = segs_.size(); i-- > 0;) {
+        Segment& seg = segs_[i];
+        for (const int s : {seg.on_any, seg.on_none}) {
+          if (s < 0) continue;
+          const Segment& succ = segs_[static_cast<std::size_t>(s)];
+          for (std::size_t r = 0; r < nr; ++r)
+            if (succ.live_in_reg[r] && !seg.live_out_reg[r]) {
+              seg.live_out_reg[r] = 1;
+              if (!seg.def_reg[r]) seg.live_in_reg[r] = 1;
+              changed = true;
+            }
+          for (std::size_t m = 0; m < nm; ++m)
+            if (succ.live_in_mask[m] && !seg.live_out_mask[m]) {
+              seg.live_out_mask[m] = 1;
+              if (!seg.def_mask[m]) seg.live_in_mask[m] = 1;
+              changed = true;
+            }
+        }
+      }
     }
-    out_ += StrFormat(
-        "    int violation = 0;\n"
-        "    const int rx = jit_resolve(cx, bw, %d, %d, %d, %d, &violation);\n"
-        "    const int ry = jit_resolve(cy, bh, %d, %d, %d, %d, &violation);\n"
-        "    if (violation) ++fl.oob;\n"
-        "    if (rx < 0 || ry < 0) { d[l] = (double)%s; continue; }\n"
-        "    const unsigned long long addr =\n"
-        "        (unsigned long long)ry * stride + rx;\n"
-        "    d[l] = (double)data[addr]; addrs[na++] = addr;\n"
-        "  }\n"
-        "  rt[%u] = 4;\n"
-        "  if (na) ctx->mem_access(ctx->host, %d, addrs, na); }\n",
-        mode, I.checks.lo_x ? 1 : 0, I.checks.hi_x ? 1 : 0, hw ? 1 : 0, mode,
-        I.checks.lo_y ? 1 : 0, I.checks.hi_y ? 1 : 0, hw ? 1 : 0,
-        FLit(I.cvalue).c_str(), I.dst, tex ? 4 : 0);
   }
 
   // ---- lane-fused emission ------------------------------------------------
   //
-  // One loop over lanes runs the whole scheduled instruction sequence (the
-  // program, with emit-time-decidable loops unrolled) in scalar locals.
-  // Register type tags are data-independent along the schedule, so they
-  // are resolved here at emit time (the emitter replays exactly the tag
-  // updates the VM performs at runtime); per-insn costs become constants
-  // folded into one flush after the loop. Memory-model address lists are
-  // buffered per *scheduled step* — an insn inside an unrolled loop gets
-  // one slot per execution — and replayed after the lane loop in schedule
-  // order; stores buffer (value, coord, active) per lane and perform the
-  // actual global writes in the same post-loop pass, so every observable
-  // effect — stored pixels, model call order, metric totals — lands in
-  // exactly the VM's order.
+  // One loop over lanes runs a segment's scheduled instructions (with
+  // emit-time-decidable loops unrolled) in scalar locals. Register type
+  // tags are resolved here at emit time (the emitter replays exactly the
+  // tag updates the VM performs at runtime, joined across segment edges);
+  // per-insn costs become constants folded into one update per segment.
+  // Memory-model address lists are buffered per *scheduled step* — an insn
+  // inside an unrolled loop gets one slot per execution — and replayed
+  // after the lane loop in schedule order; stores buffer (value, coord,
+  // active) per lane and perform the actual global writes in the same
+  // post-loop pass, so every observable effect — stored pixels, model call
+  // order, metric totals — lands in exactly the VM's order.
   //
   // Float residency: the VM keeps every value as a double, but float-typed
   // results are always exactly-representable floats (every float op rounds
@@ -856,7 +699,17 @@ class FnEmitter {
   // stored value exactly. Values that are float-*typed* but not float-exact
   // (a kConst whose immediate doesn't round-trip) simply stay double
   // resident; residency is a per-slot emitter fact, independent of the
-  // type tag.
+  // type tag. Values crossing a segment boundary travel as raw doubles.
+
+  /// Static type tag of register `r` as an instruction reads it. A tag
+  /// that differs between incoming paths would need the VM's runtime tag,
+  /// so the program is declined.
+  int Tag(unsigned r) {
+    const int t = ty_[r];
+    if (t == kTagConflict)
+      decline_ = StrFormat("type tags of r%u disagree where paths join", r);
+    return t == kTagUnset ? TypeCode(ScalarType::kFloat) : t;
+  }
 
   /// Reads register `r` as the raw double the VM stores: the double local
   /// itself, or the float local widened (exact by construction).
@@ -898,8 +751,8 @@ class FnEmitter {
     return "0";
   }
 
-  /// First use of a global buffer: binding check (program order, before any
-  /// side effect) plus hoisted field loads shared by every insn on it.
+  /// First use of a global buffer: binding check (function entry, before
+  /// any side effect) plus hoisted field loads shared by every insn on it.
   void FuseBuffer(int b, bool store) {
     if (!fbuf_seen_.insert(b).second) return;
     fchecks_ += StrFormat(
@@ -935,19 +788,21 @@ class FnEmitter {
   /// Keyed by step, not pc: an insn inside an unrolled loop issues one
   /// model call per execution, in schedule order — the VM's exact sequence.
   void FuseMemSlot(int step, int kind) {
-    fdecls_ += StrFormat("  unsigned long long a%d[64]; int n%d = 0;\n", step,
-                         step);
+    fsegdecls_ += StrFormat("    unsigned long long a%d[64]; int n%d = 0;\n",
+                         step, step);
     fpost_ += StrFormat(
-        "  if (n%d) ctx->mem_access(ctx->host, %d, a%d, n%d);\n", step, kind,
-        step, step);
+        "    if (n%d) ctx->mem_access(ctx->host, %d, a%d, n%d);\n", step,
+        kind, step, step);
   }
 
   void EmitFusedBinary(const Insn& I) {
     const BinaryOp op = static_cast<BinaryOp>(I.sub);
-    const bool fm = ty_[I.a] == 4 || ty_[I.b] == 4;
     const std::string X = DX(I.a);
     const std::string Y = DX(I.b);
     const std::string D = StrFormat("r%u", I.dst);
+    // Promote(a, b) == kFloat iff either operand tag is kFloat; only the
+    // four arithmetic ops (and the div cost) depend on it.
+    auto float_math = [&] { return Tag(I.a) == 4 || Tag(I.b) == 4; };
     auto set_d = [&] { res_[I.dst] = 'D'; };
     auto cmp = [&](const char* sym) {
       fbody_ += StrFormat("    %s = %s %s %s ? 1.0 : 0.0;\n", D.c_str(),
@@ -961,7 +816,7 @@ class FnEmitter {
         const char sym = op == BinaryOp::kAdd ? '+'
                          : op == BinaryOp::kSub ? '-'
                                                 : '*';
-        if (fm) {
+        if (float_math()) {
           // Direct float arithmetic: equals the VM's
           // (double)((float)x op (float)y) — double rounding through a
           // format with >= 2p+2 bits is exact for + - * /.
@@ -976,12 +831,13 @@ class FnEmitter {
         break;
       }
       case BinaryOp::kDiv:
-        falu_ += fm ? 5 : 16;
-        if (fm) {
+        if (float_math()) {
+          falu_ += 5;
           fbody_ += StrFormat("    f%u = %s / %s;\n", I.dst, FX(I.a).c_str(),
                               FX(I.b).c_str());
           res_[I.dst] = 'F';
         } else {
+          falu_ += 16;
           fbody_ += StrFormat(
               "    { const long long yi = (long long)%s;\n"
               "      %s = yi == 0 ? 0.0 : (double)((long long)%s / yi); }\n",
@@ -1015,14 +871,13 @@ class FnEmitter {
         set_d();
         break;
     }
-    ty_[I.dst] = TypeCode(I.type);
   }
 
   void EmitFusedAssign(const Insn& I) {
     const AssignOp op = static_cast<AssignOp>(I.sub);
     const int T = TypeCode(I.type);
     const bool fm = I.type == ScalarType::kFloat;
-    const bool cvt = ty_[I.a] != T;
+    const bool cvt = Tag(I.a) != T;
     // Masked writes must leave inactive lanes' values untouched, so the
     // destination's residency cannot change here: a double-resident slot
     // stays double (the float result widens exactly), and a float-resident
@@ -1137,7 +992,6 @@ class FnEmitter {
         FLit(I.cvalue).c_str(), K, I.dst, K, step, step);
     if (cguard) fbody_ += "        }\n";
     fbody_ += "      }\n    }\n";
-    ty_[I.dst] = 4;
     res_[I.dst] = 'F';
   }
 
@@ -1161,7 +1015,6 @@ class FnEmitter {
         "      }\n    }\n",
         I.mask, I.dst, FusedCoord(I.cx).c_str(), FusedCoord(I.cy).c_str(),
         I.dst, I.dst, step, step);
-    ty_[I.dst] = 4;
     res_[I.dst] = 'F';
   }
 
@@ -1179,7 +1032,6 @@ class FnEmitter {
         I.mask, I.dst, FusedCoord(I.cy).c_str(), width,
         FusedCoord(I.cx).c_str(), I.buffer, I.dst, I.dst, I.buffer, step,
         step);
-    ty_[I.dst] = 4;
     res_[I.dst] = 'F';
   }
 
@@ -1188,9 +1040,9 @@ class FnEmitter {
     FuseBuffer(K, /*store=*/true);
     // The VM narrows to float at write time, so the deferred value is
     // buffered as the float actually stored.
-    fdecls_ += StrFormat(
-        "  unsigned long long a%d[64]; int n%d = 0;\n"
-        "  float sv%d[64]; int sx%d[64]; int sy%d[64];"
+    fsegdecls_ += StrFormat(
+        "    unsigned long long a%d[64]; int n%d = 0;\n"
+        "    float sv%d[64]; int sx%d[64]; int sy%d[64];"
         " unsigned char sm%d[64];\n",
         step, step, step, step, step, step);
     fbody_ += StrFormat(
@@ -1202,17 +1054,17 @@ class FnEmitter {
     // across steps — the VM's exact store order, so colliding addresses
     // resolve identically.
     fpost_ += StrFormat(
-        "  for (int l = 0; l < W; ++l) {\n"
-        "    if (!sm%d[l]) continue;\n"
-        "    const int px = sx%d[l]; const int py = sy%d[l];\n"
-        "    if (px < 0 || px >= bw%d || py < 0 || py >= bh%d) {\n"
-        "      ++fl.oob; continue;\n"
-        "    }\n"
-        "    const unsigned long long ad = (unsigned long long)py * bs%d + "
+        "    for (int l = 0; l < W; ++l) {\n"
+        "      if (!sm%d[l]) continue;\n"
+        "      const int px = sx%d[l]; const int py = sy%d[l];\n"
+        "      if (px < 0 || px >= bw%d || py < 0 || py >= bh%d) {\n"
+        "        ++fl.oob; continue;\n"
+        "      }\n"
+        "      const unsigned long long ad = (unsigned long long)py * bs%d + "
         "px;\n"
-        "    bp%d[ad] = sv%d[l]; a%d[n%d++] = ad;\n"
-        "  }\n"
-        "  if (n%d) ctx->mem_access(ctx->host, 1, a%d, n%d);\n",
+        "      bp%d[ad] = sv%d[l]; a%d[n%d++] = ad;\n"
+        "    }\n"
+        "    if (n%d) ctx->mem_access(ctx->host, 1, a%d, n%d);\n",
         step, step, step, K, K, K, K, step, step, step, step, step, step);
   }
 
@@ -1221,27 +1073,13 @@ class FnEmitter {
   /// are bit-identical); min/max/abs operate on the raw doubles.
   void EmitFusedCall(const Insn& I) {
     const VmBuiltin fn = static_cast<VmBuiltin>(I.sub);
-    const char* nm = nullptr;
-    bool two = false;
+    // VmBuiltin order; null entries are emitted below.
+    static const char* const kLibm[] = {
+        "exp",  "exp2", "log",  "log2",  "sqrt",  nullptr, "sin",  "cos",
+        "tan",  "atan", "atan2", "pow",  "fmod",  "fabs",  "fmin", "fmax",
+        "floor", "ceil", "round", nullptr, nullptr, nullptr};
+    const char* nm = kLibm[I.sub];
     switch (fn) {
-      case VmBuiltin::kExp: nm = "exp"; break;
-      case VmBuiltin::kExp2: nm = "exp2"; break;
-      case VmBuiltin::kLog: nm = "log"; break;
-      case VmBuiltin::kLog2: nm = "log2"; break;
-      case VmBuiltin::kSqrt: nm = "sqrt"; break;
-      case VmBuiltin::kSin: nm = "sin"; break;
-      case VmBuiltin::kCos: nm = "cos"; break;
-      case VmBuiltin::kTan: nm = "tan"; break;
-      case VmBuiltin::kAtan: nm = "atan"; break;
-      case VmBuiltin::kFabs: nm = "fabs"; break;
-      case VmBuiltin::kFloor: nm = "floor"; break;
-      case VmBuiltin::kCeil: nm = "ceil"; break;
-      case VmBuiltin::kRound: nm = "round"; break;
-      case VmBuiltin::kAtan2: nm = "atan2"; two = true; break;
-      case VmBuiltin::kPow: nm = "pow"; two = true; break;
-      case VmBuiltin::kFmod: nm = "fmod"; two = true; break;
-      case VmBuiltin::kFmin: nm = "fmin"; two = true; break;
-      case VmBuiltin::kFmax: nm = "fmax"; two = true; break;
       case VmBuiltin::kRsqrt:
         fbody_ += StrFormat("    f%u = 1.0f / std::sqrt(%s);\n", I.dst,
                             FX(I.a).c_str());
@@ -1262,15 +1100,18 @@ class FnEmitter {
                             DX(I.a).c_str());
         res_[I.dst] = 'D';
         return;
+      default:
+        break;
     }
-    fbody_ += two ? StrFormat("    f%u = std::%s(%s, %s);\n", I.dst, nm,
+    fbody_ += TwoOperandBuiltin(fn)
+                  ? StrFormat("    f%u = std::%s(%s, %s);\n", I.dst, nm,
                               FX(I.a).c_str(), FX(I.b).c_str())
                   : StrFormat("    f%u = std::%s(%s);\n", I.dst, nm,
                               FX(I.a).c_str());
     res_[I.dst] = 'F';
   }
 
-  void EmitFusedInsn(int step, std::int32_t pc, const Insn& I, bool exit) {
+  void EmitFusedInsn(int step, std::int32_t pc, const Insn& I, StepKind kind) {
     falu_ += I.alu_cost;
     fsfu_ += I.sfu_cost;
     const int T = TypeCode(I.type);
@@ -1290,19 +1131,18 @@ class FnEmitter {
           fbody_ += StrFormat("    r%u = %s;\n", I.dst, DLit(I.imm).c_str());
           res_[I.dst] = 'D';
         }
-        ty_[I.dst] = T;
         break;
       }
       case Op::kCopy:
+      case Op::kLoopInit:
         if (I.dst != I.a)
           fbody_ += res_[I.a] == 'F'
                         ? StrFormat("    f%u = f%u;\n", I.dst, I.a)
                         : StrFormat("    r%u = r%u;\n", I.dst, I.a);
         res_[I.dst] = res_[I.a];
-        ty_[I.dst] = ty_[I.a];
         break;
       case Op::kConvert:
-        if (ty_[I.a] == T) {
+        if (Tag(I.a) == T) {
           if (I.dst != I.a)
             fbody_ += res_[I.a] == 'F'
                           ? StrFormat("    f%u = f%u;\n", I.dst, I.a)
@@ -1317,7 +1157,6 @@ class FnEmitter {
                               DX(I.a).c_str(), T);
           res_[I.dst] = 'D';
         }
-        ty_[I.dst] = T;
         break;
       case Op::kUnary:
         if (static_cast<UnaryOp>(I.sub) == UnaryOp::kNot) {
@@ -1331,7 +1170,6 @@ class FnEmitter {
           fbody_ += StrFormat("    r%u = -%s;\n", I.dst, DX(I.a).c_str());
           res_[I.dst] = 'D';
         }
-        ty_[I.dst] = T;
         break;
       case Op::kBinary:
         EmitFusedBinary(I);
@@ -1349,35 +1187,19 @@ class FnEmitter {
                               DX(I.c).c_str());
           res_[I.dst] = 'D';
         }
-        ty_[I.dst] = T;
         break;
       case Op::kCall:
         EmitFusedCall(I);
-        ty_[I.dst] = T;
         break;
       case Op::kThreadIdx: {
-        const ThreadIndexKind kind = static_cast<ThreadIndexKind>(I.sub);
-        const char* lane_src = nullptr;
-        const char* scalar_src = nullptr;
-        switch (kind) {
-          case ThreadIndexKind::kThreadIdxX: lane_src = "tid_x"; break;
-          case ThreadIndexKind::kThreadIdxY: lane_src = "tid_y"; break;
-          case ThreadIndexKind::kGlobalIdX: lane_src = "gid_x"; break;
-          case ThreadIndexKind::kGlobalIdY: lane_src = "gid_y"; break;
-          case ThreadIndexKind::kBlockIdxX: scalar_src = "bix"; break;
-          case ThreadIndexKind::kBlockIdxY: scalar_src = "biy"; break;
-          case ThreadIndexKind::kBlockDimX: scalar_src = "block_dim_x"; break;
-          case ThreadIndexKind::kBlockDimY: scalar_src = "block_dim_y"; break;
-          case ThreadIndexKind::kGridDimX: scalar_src = "grid_dim_x"; break;
-          case ThreadIndexKind::kGridDimY: scalar_src = "grid_dim_y"; break;
-          case ThreadIndexKind::kImageW: scalar_src = "image_w"; break;
-          case ThreadIndexKind::kImageH: scalar_src = "image_h"; break;
-        }
-        fbody_ += lane_src
-                      ? StrFormat("    r%u = ctx->%s[l];\n", I.dst, lane_src)
-                      : StrFormat("    r%u = ctx->%s;\n", I.dst, scalar_src);
+        // ThreadIndexKind order; per-lane indices are the integer mirrors
+        // (exact as doubles).
+        static const char* const kSource[] = {
+            "tid_xi[l]",   "tid_yi[l]",   "bix",        "biy",
+            "block_dim_x", "block_dim_y", "grid_dim_x", "grid_dim_y",
+            "gid_xi[l]",   "gid_yi[l]",   "image_w",    "image_h"};
+        fbody_ += StrFormat("    r%u = ctx->%s;\n", I.dst, kSource[I.sub]);
         res_[I.dst] = 'D';
-        ty_[I.dst] = 2;
         break;
       }
       case Op::kAssign:
@@ -1406,23 +1228,23 @@ class FnEmitter {
             " m%u = (unsigned char)(inv && !tk); }\n",
             I.mask, DX(I.a).c_str(), I.dst, I.b);
         break;
-      case Op::kLoopInit:
-        if (I.dst != I.a)
-          fbody_ += res_[I.a] == 'F'
-                        ? StrFormat("    f%u = f%u;\n", I.dst, I.a)
-                        : StrFormat("    r%u = r%u;\n", I.dst, I.a);
-        res_[I.dst] = res_[I.a];
-        ty_[I.dst] = 2;
+      case Op::kJumpIfNone:
+        fbody_ += StrFormat("    any |= m%u;\n", I.mask);
         break;
       case Op::kLoopHead:
-        // AnalyzeFusion proved the loop condition warp-uniform with a known
-        // truth value, so this step reduces to the mask update the VM
-        // performs: while iterating, live = in && true lane-wise (inactive
-        // lanes fail `in`, active lanes share the uniform variable value);
-        // on exit, live = in && false = 0 for every lane.
-        if (exit) {
+        if (kind == StepKind::kBranch) {
+          fbody_ += StrFormat(
+              "    { const unsigned char lv =\n"
+              "          (unsigned char)(m%u && %s <= %s);\n"
+              "      m%u = lv; any |= lv; }\n",
+              I.mask, DX(I.a).c_str(), DX(I.b).c_str(), I.dst);
+        } else if (kind == StepKind::kStaticExit) {
+          // Decided false on every lane of the entry mask: live = in &&
+          // false = 0 everywhere.
           fbody_ += StrFormat("    m%u = 0;\n", I.dst);
         } else if (I.dst != I.mask) {
+          // Decided true on every lane of the (non-empty) entry mask:
+          // live = in && true lane-wise.
           fbody_ += StrFormat("    m%u = m%u;\n", I.dst, I.mask);
         }
         break;
@@ -1434,83 +1256,121 @@ class FnEmitter {
         fbody_ += StrFormat("    if (m%u) r%u += %s;\n", I.mask, I.dst,
                             DLit(I.imm).c_str());
         break;
-      case Op::kJumpIfNone:
-        break;  // unreachable: AnalyzeFusion rejects divergent jumps
     }
+    ApplyTag(I, &ty_);
   }
 
-  void EmitFusedBody() {
-    const int num_regs = prog_.num_regs > 0 ? prog_.num_regs : 1;
-    const int num_masks = prog_.num_masks > 0 ? prog_.num_masks : 1;
-    // Static tag file: fresh slots carry the VM's default (kFloat), params
-    // their declared type — the same seeding the runtime tag array gets.
-    // Every slot starts double resident (params are seeded into the double
-    // locals; fresh slots are written before being read).
-    ty_.assign(static_cast<std::size_t>(num_regs), 4);
-    for (const ParamSeed& p : prog_.params)
-      ty_[p.reg] = static_cast<int>(p.type);
-    res_.assign(static_cast<std::size_t>(num_regs), 'D');
+  std::string SegmentLabel(int b) {
+    if (b < 0) {
+      done_used_ = true;
+      return "done";
+    }
+    labels_.insert(b);
+    return StrFormat("S%d", b);
+  }
 
-    for (std::size_t s = 0; s < schedule_.size(); ++s) {
-      const Step& st = schedule_[s];
-      EmitFusedInsn(static_cast<int>(s), st.pc,
-                    prog_.code[static_cast<std::size_t>(st.pc)], st.exit);
-    }
+  std::string EmitSegment(std::size_t b) {
+    const Segment& seg = segs_[b];
+    ty_ = seg.in.ty;
+    res_.assign(static_cast<std::size_t>(num_regs_), 'D');
+    fsegdecls_.clear();
+    fbody_.clear();
+    fpost_.clear();
+    falu_ = 0;
+    fsfu_ = 0;
+    for (const Step& s : seg.steps)
+      EmitFusedInsn(next_step_++, s.pc,
+                    prog_.code[static_cast<std::size_t>(s.pc)], s.kind);
 
-    out_ += "  const int W = ctx->warp_size;\n";
-    out_ += fchecks_;
-    out_ += "  JitFlush fl(ctx);\n";
-    out_ += fdecls_;
-    out_ += "  for (int l = 0; l < W; ++l) {\n";
-    for (int r = 0; r < num_regs; ++r) {
-      if (r % 8 == 0) out_ += std::string(r ? ";\n" : "") + "    double ";
-      out_ += StrFormat(r % 8 == 0 ? "r%d = 0" : ", r%d = 0", r);
+    std::string text;
+    text += StrFormat("  {  // segment %zu: pc %d\n", b, seg.start);
+    text += fsegdecls_;
+    if (seg.branch >= 0) text += "    unsigned char any = 0;\n";
+    // Zero-initialised locals, eight per declaration line.
+    auto declare = [&text](const char* type, char prefix, int from, int to) {
+      for (int k = from; k < to; ++k)
+        text += (k - from) % 8 == 0
+                    ? StrFormat("%s      %s %c%d = 0", k > from ? ";\n" : "",
+                                type, prefix, k)
+                    : StrFormat(", %c%d = 0", prefix, k);
+      if (to > from) text += ";\n";
+    };
+    text += "    for (int l = 0; l < W; ++l) {\n";
+    declare("double", 'r', 0, num_regs_);
+    declare("float", 'f', 0, num_regs_);
+    text += "      unsigned char m0 = ctx->masks[l];\n";
+    declare("unsigned char", 'm', 1, num_masks_);
+    text += "      (void)m0; (void)r0; (void)f0;\n";
+    for (int r = 0; r < num_regs_; ++r)
+      if (seg.ue_reg[static_cast<std::size_t>(r)]) {
+        uses_reg_file_ = true;
+        text += StrFormat("      r%d = R[%d * 64 + l];\n", r, r);
+      }
+    for (int m = 1; m < num_masks_; ++m)
+      if (seg.ue_mask[static_cast<std::size_t>(m)]) {
+        mask_arrays_.insert(m);
+        text += StrFormat("      m%d = M%d[l];\n", m, m);
+      }
+    // The lane-loop body is indented one level deeper than the fused
+    // emitters write it.
+    for (std::size_t pos = 0; pos < fbody_.size();) {
+      const std::size_t eol = fbody_.find('\n', pos);
+      text += "  " + fbody_.substr(pos, eol - pos + 1);
+      pos = eol + 1;
     }
-    out_ += ";\n";
-    for (int r = 0; r < num_regs; ++r) {
-      if (r % 8 == 0) out_ += std::string(r ? ";\n" : "") + "    float ";
-      out_ += StrFormat(r % 8 == 0 ? "f%d = 0" : ", f%d = 0", r);
+    for (int r = 0; r < num_regs_; ++r) {
+      const std::size_t i = static_cast<std::size_t>(r);
+      if (seg.def_reg[i] && seg.live_out_reg[i]) {
+        uses_reg_file_ = true;
+        text += StrFormat("      R[%d * 64 + l] = %s;\n", r,
+                         DX(static_cast<unsigned>(r)).c_str());
+      }
     }
-    out_ += ";\n    unsigned char m0 = ctx->masks[l];\n";
-    for (int m = 1; m < num_masks; ++m) {
-      if ((m - 1) % 8 == 0)
-        out_ += std::string(m > 1 ? ";\n" : "") + "    unsigned char ";
-      out_ += StrFormat((m - 1) % 8 == 0 ? "m%d = 0" : ", m%d = 0", m);
+    for (int m = 1; m < num_masks_; ++m) {
+      const std::size_t i = static_cast<std::size_t>(m);
+      if (seg.def_mask[i] && seg.live_out_mask[i]) {
+        mask_arrays_.insert(m);
+        text += StrFormat("      M%d[l] = m%d;\n", m, m);
+      }
     }
-    if (num_masks > 1) out_ += ";\n";
-    out_ += "    (void)m0; (void)r0; (void)f0;\n";
-    for (const ParamSeed& p : prog_.params)
-      out_ += StrFormat("    r%u = ctx->regs[%u * 64 + l];\n", p.reg, p.reg);
-    out_ += fbody_;
-    out_ += "  }\n";
-    out_ += fpost_;
-    out_ += StrFormat("  fl.n += %lluull;\n",
-                      static_cast<unsigned long long>(schedule_.size()));
-    if (falu_) out_ += StrFormat("  fl.alu += %lluull;\n", falu_);
-    if (fsfu_) out_ += StrFormat("  fl.sfu += %lluull;\n", fsfu_);
-    out_ += "  return 0;\n";
+    text += "    }\n";
+    text += fpost_;
+    text += StrFormat("    fl.n += %lluull;\n",
+                     static_cast<unsigned long long>(seg.steps.size()));
+    if (falu_) text += StrFormat("    fl.alu += %lluull;\n", falu_);
+    if (fsfu_) text += StrFormat("    fl.sfu += %lluull;\n", fsfu_);
+    if (seg.branch >= 0) {
+      text += StrFormat("    if (any) goto %s;\n    goto %s;\n",
+                       SegmentLabel(seg.on_any).c_str(),
+                       SegmentLabel(seg.on_none).c_str());
+    } else if (b + 1 != segs_.size()) {
+      text += StrFormat("    goto %s;\n", SegmentLabel(-1).c_str());
+    }
+    text += "  }\n";
+    return text;
   }
 
   const ProgramSet& ps_;
   const Program& prog_;
   std::string& out_;
-  std::set<std::int32_t> labels_;
-  bool fused_ = true;
-  /// One executed instruction in the fused schedule; `exit` marks the
-  /// final (condition-false) evaluation of a kLoopHead.
-  struct Step {
-    std::int32_t pc;
-    bool exit;
-  };
-  /// Unroll budget: programs whose executed sequence exceeds this fall back
-  /// to the per-insn vector body (keeps generated TUs and host-compile
+  const int num_regs_;
+  const int num_masks_;
+  /// Unroll budget: static loops whose unrolled steps would exceed it are
+  /// emitted as runtime loops instead (keeps generated TUs and host-compile
   /// times bounded).
   static constexpr int kMaxFusedSteps = 8192;
-  std::vector<Step> schedule_;
+  std::set<std::int32_t> runtime_heads_;
+  std::vector<Segment> segs_;
+  std::set<int> labels_;
+  bool done_used_ = false;
+  bool uses_reg_file_ = false;
+  std::set<int> mask_arrays_;
+  std::string decline_;
+  int next_step_ = 0;
   std::vector<int> ty_;
   std::vector<char> res_;
   std::set<int> fbuf_seen_, fmask_seen_;
-  std::string fchecks_, fdecls_, fbody_, fpost_;
+  std::string fchecks_, fdecls_, fsegdecls_, fbody_, fpost_;
   bool ftile_ = false;
   unsigned long long falu_ = 0, fsfu_ = 0;
 };
@@ -1527,7 +1387,7 @@ unsigned long long ProgramFingerprint(const ProgramSet& ps) {
   support::Fnv1a h;
   // Encoding version: bump when the emitted semantics change without an ABI
   // layout change (the ABI version is mixed separately by the cache).
-  h.Mix(std::uint64_t{1});
+  h.Mix(std::uint64_t{2});
   h.Mix(static_cast<std::uint64_t>(ps.buffer_names.size()));
   h.Mix(static_cast<std::uint64_t>(ps.const_masks.size()));
   for (const auto& mref : ps.const_masks) h.Mix(mref.width);
@@ -1569,7 +1429,7 @@ unsigned long long ProgramFingerprint(const ProgramSet& ps) {
   return h.digest();
 }
 
-EmittedSource EmitNativeSource(const ProgramSet& ps) {
+Result<EmittedSource> EmitNativeSource(const ProgramSet& ps) {
   EmittedSource out;
   support::Fnv1a h;
   h.Mix(static_cast<std::uint64_t>(ProgramFingerprint(ps)));
@@ -1588,9 +1448,8 @@ EmittedSource EmitNativeSource(const ProgramSet& ps) {
   for (const Program& prog : ps.programs) {
     const std::string symbol =
         StrFormat("hipacc_jit_%s_r%d", tag.c_str(), static_cast<int>(prog.region));
-    FnEmitter fe(ps, prog, out.source);
-    fe.Emit(symbol);
-    out.symbols.push_back({prog.region, symbol, fe.fused()});
+    HIPACC_RETURN_IF_ERROR(FnEmitter(ps, prog, out.source).Emit(symbol));
+    out.symbols.push_back({prog.region, symbol});
   }
   return out;
 }

@@ -3,18 +3,17 @@
 // emitted with its fields (opcode, sub-op, types, coordinates, boundary
 // mode, guard set, costs, immediates) baked in as constants.
 //
-// Two emission modes per region program:
-//  - Fused (label-free programs whose loaded and stored buffers are
-//    disjoint): one loop over lanes executes the whole instruction chain in
-//    scalar locals, with register *types* resolved statically at emit time
-//    (type tags are data-independent in straight-line code). Memory-model
-//    address lists are buffered per instruction during the lane loop and
-//    replayed after it in program order; stores are deferred the same way,
-//    so global-memory writes and model calls happen in exactly the VM's
-//    order and the results stay bit-identical.
-//  - Per-insn (programs with control flow): each instruction becomes a
-//    64-lane loop over the ABI register file, types tracked through the
-//    same runtime tag array the VM uses — textually parallel to vm.cpp.
+// Each region program is split into straight-line segments at the branches
+// whose direction depends on runtime values; loops with emit-time trip
+// counts are unrolled inside a segment. One loop over lanes runs a segment
+// in scalar locals, with register *types* resolved statically (the VM's
+// tag updates replayed at emit time and joined across segment edges).
+// Memory-model address lists are buffered per instruction during the lane
+// loop and replayed after it in program order; stores are deferred the
+// same way, so global-memory writes and model calls happen in exactly the
+// VM's order and the results stay bit-identical. Segments hand over to
+// each other with gotos on the any-reduction of the branch mask, exactly
+// as the VM's AnyActive decides.
 #pragma once
 
 #include <string>
@@ -22,6 +21,7 @@
 
 #include "ast/metadata.hpp"
 #include "sim/bytecode.hpp"
+#include "support/status.hpp"
 
 namespace hipacc::sim::jit {
 
@@ -32,10 +32,6 @@ struct EmittedSource {
   struct SymbolInfo {
     ast::Region region = ast::Region::kInterior;
     std::string symbol;
-    /// Lane-fused emission: binding checks are hoisted ahead of all side
-    /// effects, so the runner must pre-check bindings and fall back to the
-    /// VM for launches that would error mid-program.
-    bool fused = false;
   };
   std::string source;
   std::vector<SymbolInfo> symbols;
@@ -46,8 +42,12 @@ struct EmittedSource {
 /// naming and as the shared-object cache identity.
 unsigned long long ProgramFingerprint(const ProgramSet& ps);
 
-/// Emits the translation unit. `symbol_prefix` scopes the exported symbol
-/// names (callers pass the fingerprint hex).
-EmittedSource EmitNativeSource(const ProgramSet& ps);
+/// Emits the translation unit. Every function checks its buffer and mask
+/// bindings on entry, before any side effect (callers keep launches whose
+/// checks would fail on the VM). Returns Unimplemented for programs the
+/// emitter cannot keep bit-identical — a buffer both loaded and stored, or
+/// register type tags that disagree where paths join and are then read —
+/// which keeps the whole kernel on the VM.
+Result<EmittedSource> EmitNativeSource(const ProgramSet& ps);
 
 }  // namespace hipacc::sim::jit

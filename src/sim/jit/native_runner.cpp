@@ -1,25 +1,19 @@
 #include "sim/jit/native_runner.hpp"
 
-#include <array>
-#include <cstring>
+#include <algorithm>
 #include <vector>
 
 #include "sim/block_state.hpp"
 #include "sim/jit/abi.hpp"
-#include "sim/vm.hpp"
 
 namespace hipacc::sim::jit {
 namespace {
 
-using ast::ScalarType;
-
 /// Per-thread scratch reused across blocks, like the VM's VmScratch: the
-/// register/mask/type files persist so the generated code sees the same
+/// register file persists so the generated code sees the same
 /// write-before-read discipline the VM's thread-local register file has.
 struct NativeScratch {
   std::vector<double> regs;
-  std::vector<unsigned char> reg_types;
-  std::vector<unsigned char> masks;
   std::vector<JitBuffer> buffers;
   std::vector<JitMaskTable> mask_tables;
 };
@@ -34,7 +28,7 @@ struct HostCtx {
   Metrics* metrics = nullptr;
 };
 
-/// Memory-model trampoline: hands the generated code's address span
+/// Memory-model callback: hands the generated code's address span
 /// straight to the same MemoryModel entry points the VM calls, in the same
 /// order — no intermediate copy.
 void MemAccessThunk(void* host, int kind, const unsigned long long* addrs,
@@ -78,51 +72,25 @@ Status MapError(const ProgramSet& ps, int rc) {
   return Status::Internal("native tier returned unknown error code");
 }
 
-/// Fused functions hoist every binding check ahead of all side effects, so
-/// a launch that would fail mid-program on the VM (partial metrics and
-/// model calls, then an error) must never reach them. Bindings are
-/// launch-level constants: either every block passes or the very first one
-/// falls back, so the conservative walk over all fused programs costs
-/// nothing on the happy path.
-bool FusedPreconditionsHold(const ProgramSet& ps, const NativeProgram& native,
-                            const Launch& launch) {
-  std::vector<std::uint8_t> buf_bound, buf_writable, mask_bound;
-  buf_bound.reserve(ps.buffer_names.size());
-  buf_writable.reserve(ps.buffer_names.size());
-  for (const auto& name : ps.buffer_names) {
-    const BufferBinding* b = launch.FindBuffer(name);
-    buf_bound.push_back(b != nullptr);
-    buf_writable.push_back(b && b->writable);
-  }
-  mask_bound.reserve(ps.const_masks.size());
-  for (const auto& ref : ps.const_masks)
-    mask_bound.push_back(launch.const_masks.count(ref.name) != 0);
+}  // namespace
 
-  for (const NativeProgram::Entry& e : native.fns) {
-    if (!e.fused) continue;
-    const Program* prog = ps.Find(e.region);
-    if (!prog) continue;
-    for (const Insn& I : prog->code) {
+bool NativeBindingsHold(const ProgramSet& ps, const Launch& launch) {
+  std::vector<const BufferBinding*> buffers;
+  for (const auto& name : ps.buffer_names)
+    buffers.push_back(launch.FindBuffer(name));
+  std::vector<char> masks;
+  for (const auto& ref : ps.const_masks)
+    masks.push_back(launch.const_masks.count(ref.name) != 0);
+  for (const Program& prog : ps.programs)
+    for (const Insn& I : prog.code) {
       const std::size_t b = static_cast<std::size_t>(I.buffer);
-      switch (I.op) {
-        case Op::kLoadImage:
-          if (!buf_bound[b]) return false;
-          break;
-        case Op::kStore:
-          if (!buf_bound[b] || !buf_writable[b]) return false;
-          break;
-        case Op::kLoadConst:
-          if (!mask_bound[b]) return false;
-          break;
-        default:
-          break;
-      }
+      if ((I.op == Op::kLoadImage && !buffers[b]) ||
+          (I.op == Op::kStore && !(buffers[b] && buffers[b]->writable)) ||
+          (I.op == Op::kLoadConst && !masks[b]))
+        return false;
     }
-  }
   return true;
 }
-
-}  // namespace
 
 Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
                       const NativeProgram& native,
@@ -130,9 +98,6 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
                       int block_y_idx, Metrics* metrics,
                       std::uint64_t* executed_insns) {
   HIPACC_CHECK(launch.kernel != nullptr && metrics != nullptr);
-  if (!FusedPreconditionsHold(ps, native, launch))
-    return RunBlockBytecode(launch, ps, device, block_x_idx, block_y_idx,
-                            metrics, executed_insns, VmDispatch::kThreaded);
   BlockState st(launch, device, block_x_idx, block_y_idx, metrics);
   Result<BlockState::Plan> begun = st.Begin();
   if (!begun.ok()) return begun.status();
@@ -171,46 +136,22 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
     scratch.mask_tables.push_back(mt);
   }
 
-  struct ParamFill {
-    std::uint16_t reg = 0;
-    ScalarType type = ScalarType::kFloat;
-    double value = 0.0;
-  };
-  std::vector<ParamFill> seeds;
+  std::vector<double> seeds;
   seeds.reserve(prog->params.size());
-  for (const auto& p : prog->params) {
-    const auto it = launch.scalar_args.find(p.name);
-    const double v = it != launch.scalar_args.end() ? it->second : 0.0;
-    seeds.push_back(ParamFill{
-        p.reg, p.type,
-        p.type == ScalarType::kFloat
-            ? static_cast<double>(static_cast<float>(v))
-            : v});
-  }
+  for (const ParamSeed& p : prog->params)
+    seeds.push_back(p.Value(launch.scalar_args));
 
   const hw::GridDim grid = hw::ComputeGrid(launch.config, launch.width,
                                            launch.height, launch.kernel->ppt);
-  const std::size_t reg_slots = static_cast<std::size_t>(prog->num_regs);
-  scratch.regs.resize(reg_slots * kJitMaxWarp);
-  // Fresh slots default to the VM's WarpVal type tag (kFloat); existing
-  // tags persist across warps/blocks exactly like the VM's register file.
-  scratch.reg_types.resize(reg_slots, static_cast<unsigned char>(4));
-  scratch.masks.resize(static_cast<std::size_t>(prog->num_masks) *
-                       kJitMaxWarp);
-
-  std::array<int, kMaxWarpWidth> tid_xi{}, tid_yi{}, gid_xi{}, gid_yi{};
+  scratch.regs.resize(static_cast<std::size_t>(prog->num_regs) * kJitMaxWarp);
 
   HostCtx host{&st, metrics};
   JitWarpCtx ctx;
   ctx.warp_size = st.warp_size;
-  ctx.tid_x = st.tid_x.data();
-  ctx.tid_y = st.tid_y.data();
-  ctx.gid_x = st.gid_x.data();
-  ctx.gid_y = st.gid_y.data();
-  ctx.tid_xi = tid_xi.data();
-  ctx.tid_yi = tid_yi.data();
-  ctx.gid_xi = gid_xi.data();
-  ctx.gid_yi = gid_yi.data();
+  ctx.tid_xi = st.tid_xi.data();
+  ctx.tid_yi = st.tid_yi.data();
+  ctx.gid_xi = st.gid_xi.data();
+  ctx.gid_yi = st.gid_yi.data();
   ctx.bix = st.bix;
   ctx.biy = st.biy;
   ctx.block_dim_x = launch.config.block_x;
@@ -220,8 +161,8 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
   ctx.image_w = launch.width;
   ctx.image_h = launch.height;
   ctx.regs = scratch.regs.data();
-  ctx.reg_types = scratch.reg_types.data();
-  ctx.masks = scratch.masks.data();
+  static_assert(sizeof(LaneMask) == kJitMaxWarp);
+  ctx.masks = st.active.data();
   ctx.tile = st.tile.data();
   ctx.tile_w = st.tile_w;
   ctx.tile_h = st.tile_h;
@@ -251,21 +192,10 @@ Status RunBlockNative(const Launch& launch, const ProgramSet& ps,
   for (int w = 0; w < plan.warps; ++w) {
     st.BuildWarpContext(w, plan.threads);
     if (!AnyActive(st.active)) continue;
-    for (int l = 0; l < st.warp_size; ++l) {
-      const std::size_t i = static_cast<std::size_t>(l);
-      tid_xi[i] = static_cast<int>(st.tid_x[i]);
-      tid_yi[i] = static_cast<int>(st.tid_y[i]);
-      gid_xi[i] = static_cast<int>(st.gid_x[i]);
-      gid_yi[i] = static_cast<int>(st.gid_y[i]);
-    }
-    static_assert(sizeof(LaneMask) == kJitMaxWarp);
-    std::memcpy(scratch.masks.data(), st.active.data(), kJitMaxWarp);
-    for (const ParamFill& seed : seeds) {
-      double* r = scratch.regs.data() +
-                  static_cast<std::size_t>(seed.reg) * kJitMaxWarp;
-      scratch.reg_types[seed.reg] =
-          static_cast<unsigned char>(static_cast<int>(seed.type));
-      for (int l = 0; l < kJitMaxWarp; ++l) r[l] = seed.value;
+    for (std::size_t k = 0; k < seeds.size(); ++k) {
+      const std::size_t slot = prog->params[k].reg;
+      std::fill_n(scratch.regs.data() + slot * kJitMaxWarp, kJitMaxWarp,
+                  seeds[k]);
     }
     const int rc = fn(&ctx);
     if (rc != 0) return MapError(ps, rc);

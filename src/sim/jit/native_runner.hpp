@@ -14,6 +14,14 @@
 
 namespace hipacc::sim::jit {
 
+/// Whether every buffer and constant mask the programs touch is bound, and
+/// every stored buffer writable. Bindings are launch constants, so callers
+/// check once per launch: the generated functions test them on entry,
+/// before any side effect, while the VM errors only when an instruction
+/// reaches the binding (after the work before it), so a launch that fails
+/// this check must run on the VM to report the same partial work.
+bool NativeBindingsHold(const ProgramSet& programs, const Launch& launch);
+
 /// Executes one thread block through the native warp functions.
 /// `executed_insns` accumulates dispatched instruction counts like the VM.
 Status RunBlockNative(const Launch& launch, const ProgramSet& programs,

@@ -89,8 +89,9 @@ class SegmentCache {
 /// a coarse but adequate approximation for sampled simulation).
 ///
 /// Each entry point has a span form (pointer + count) — the native tier
-/// calls these directly from its trampoline without materialising a vector
-/// — and a vector convenience wrapper used by the interpreter and the VM.
+/// calls these directly from its memory-access callback without
+/// materialising a vector — and a vector convenience wrapper used by the
+/// interpreter and the VM.
 class MemoryModel {
  public:
   explicit MemoryModel(const hw::DeviceSpec& device);

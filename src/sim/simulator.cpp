@@ -42,6 +42,34 @@ const ProgramSet* Simulator::PreparePrograms(const Launch& launch) const {
   return programs_cache_.get();
 }
 
+Simulator::BlockFn Simulator::PrepareBlocks(const Launch& launch) const {
+  const ProgramSet* programs = PreparePrograms(launch);
+  const jit::NativeProgram* native = nullptr;
+  if (programs && options_.engine == ExecEngine::kNative) {
+    // Bindings are launch constants. Generated code tests them on entry,
+    // before any side effect, while the VM fails at the first instruction
+    // that needs one — so a launch that would fail runs on the VM.
+    if (jit::NativeBindingsHold(*programs, launch))
+      native = jit::AcquireNative(*programs, options_.jit_threshold, trace_);
+    else if (trace_)
+      trace_->IncrementCounter("jit.threaded");
+  }
+  if (trace_)
+    trace_->IncrementCounter(native     ? "sim.launch.native"
+                             : programs ? "sim.launch.bytecode"
+                                        : "sim.launch.ast");
+  return [this, &launch, programs, native](int bx, int by, Metrics* metrics,
+                                           std::uint64_t* insns) {
+    if (native)
+      return jit::RunBlockNative(launch, *programs, *native, device_, bx, by,
+                                 metrics, insns);
+    if (programs)
+      return RunBlockBytecode(launch, *programs, device_, bx, by, metrics,
+                              insns);
+    return RunBlock(launch, device_, bx, by, metrics);
+  };
+}
+
 double Simulator::IssueScale(const Launch& launch) const {
   double scale = launch.kernel->backend == ast::Backend::kOpenCL
                      ? device_.opencl_issue_overhead
@@ -112,20 +140,7 @@ Result<LaunchStats> Simulator::Execute(const Launch& launch) const {
       launch.config, launch.width, launch.height, launch.kernel->bh_window,
       launch.kernel->ppt);
 
-  const ProgramSet* programs = PreparePrograms(launch);
-  const jit::NativeProgram* native =
-      programs && options_.engine == ExecEngine::kNative
-          ? jit::AcquireNative(*programs, options_.jit_threshold, trace_)
-          : nullptr;
-  // With engine=native but the tier still cold (or failed), blocks run on
-  // the VM's threaded dispatcher instead of the portable switch.
-  const VmDispatch dispatch = options_.engine == ExecEngine::kNative
-                                  ? VmDispatch::kThreaded
-                                  : VmDispatch::kSwitch;
-  if (trace_)
-    trace_->IncrementCounter(native     ? "sim.launch.native"
-                             : programs ? "sim.launch.bytecode"
-                                        : "sim.launch.ast");
+  const BlockFn run_block = PrepareBlocks(launch);
   const hw::GridDim grid = stats.region_grid.grid;
   std::mutex merge_mutex;
   Metrics total;
@@ -136,13 +151,7 @@ Result<LaunchStats> Simulator::Execute(const Launch& launch) const {
     std::uint64_t row_insns = 0;
     Status row_status = Status::Ok();
     for (int bx = 0; bx < grid.blocks_x && row_status.ok(); ++bx)
-      row_status =
-          native ? jit::RunBlockNative(launch, *programs, *native, device_,
-                                       bx, by, &row_metrics, &row_insns)
-          : programs
-              ? RunBlockBytecode(launch, *programs, device_, bx, by,
-                                 &row_metrics, &row_insns, dispatch)
-              : RunBlock(launch, device_, bx, by, &row_metrics);
+      row_status = run_block(bx, by, &row_metrics, &row_insns);
     const std::lock_guard<std::mutex> lock(merge_mutex);
     total += row_metrics;
     executed_insns += row_insns;
@@ -238,18 +247,7 @@ Result<LaunchStats> Simulator::Measure(const Launch& launch,
     }
   }
 
-  const ProgramSet* programs = PreparePrograms(launch);
-  const jit::NativeProgram* native =
-      programs && options_.engine == ExecEngine::kNative
-          ? jit::AcquireNative(*programs, options_.jit_threshold, trace_)
-          : nullptr;
-  const VmDispatch dispatch = options_.engine == ExecEngine::kNative
-                                  ? VmDispatch::kThreaded
-                                  : VmDispatch::kSwitch;
-  if (trace_)
-    trace_->IncrementCounter(native     ? "sim.launch.native"
-                             : programs ? "sim.launch.bytecode"
-                                        : "sim.launch.ast");
+  const BlockFn run_block = PrepareBlocks(launch);
   std::uint64_t executed_insns = 0;
   Metrics total;
   for (auto& [region, rs] : regions) {
@@ -258,13 +256,7 @@ Result<LaunchStats> Simulator::Measure(const Launch& launch,
     Metrics region_metrics;
     for (const auto& [bx, by] : rs.samples)
       HIPACC_RETURN_IF_ERROR(
-          native ? jit::RunBlockNative(launch, *programs, *native, device_,
-                                       bx, by, &region_metrics,
-                                       &executed_insns)
-          : programs
-              ? RunBlockBytecode(launch, *programs, device_, bx, by,
-                                 &region_metrics, &executed_insns, dispatch)
-              : RunBlock(launch, device_, bx, by, &region_metrics));
+          run_block(bx, by, &region_metrics, &executed_insns));
     const double scale = static_cast<double>(rs.population) /
                          static_cast<double>(rs.samples.size());
     total += region_metrics.Scaled(scale);

@@ -6,6 +6,8 @@
 // slightly at the image edges, which the per-region samples capture.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "codegen/resource_estimator.hpp"
@@ -69,6 +71,13 @@ class Simulator {
   /// cache. Returns null when the AST engine is selected or bytecode
   /// compilation bailed out (the launch then runs on the interpreter).
   const ProgramSet* PreparePrograms(const Launch& launch) const;
+  /// Runs one block of `launch` (block x, block y, metrics, executed
+  /// instruction count).
+  using BlockFn = std::function<Status(int, int, Metrics*, std::uint64_t*)>;
+  /// Picks the engine for one launch — under engine == kNative this tiers
+  /// up and checks the bindings, once per launch — and counts the launch
+  /// under sim.launch.{native,bytecode,ast}.
+  BlockFn PrepareBlocks(const Launch& launch) const;
 
   hw::DeviceSpec device_;
   SimulatorOptions options_;

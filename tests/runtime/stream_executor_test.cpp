@@ -212,13 +212,18 @@ TEST(StreamExecutorTest, FramesRetireInOrderAndStatsCount) {
   runtime::StreamExecutor executor(graph, options, sopts);
 
   const int frames = 6;
-  HostImage<float> raw(kSize, kSize);
+  // One source image per window slot: an earlier in-flight frame may still
+  // be reading its slot while the binder fills the next one.
+  std::vector<HostImage<float>> raws(static_cast<std::size_t>(sopts.in_flight),
+                                     HostImage<float>(kSize, kSize));
   IspOutputs out;
   std::vector<long long> order;
   const Status run = executor.Run(
       frames,
       [&](long long frame, runtime::PipelineGraph::InputBindings* in,
           runtime::PipelineGraph::OutputBindings* outputs) {
+        HostImage<float>& raw =
+            raws[static_cast<std::size_t>(frame % sopts.in_flight)];
         raw = FrameRaw(frame);
         in->assign({{"raw", &raw}, {"gain", &gain}});
         outputs->assign({{"y_dn", &out.y}, {"u", &out.u}, {"v", &out.v}});

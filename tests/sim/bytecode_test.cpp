@@ -143,7 +143,7 @@ void ExpectEnginesAgree(const frontend::KernelSource& source, int w, int h,
 }
 
 /// Same differential contract, but for the native tier: the jitted host
-/// code (or its threaded-VM fallback when a program is not jittable) must
+/// code (or its VM fallback when the emitter declines a program) must
 /// be observably indistinguishable from the AST interpreter.
 void ExpectNativeAgrees(const frontend::KernelSource& source, int w, int h,
                         const runtime::BindingSet& scalars, Rng& rng,
@@ -264,9 +264,9 @@ TEST(BytecodeDifferentialTest, ConvolveUnrolledFormulation) {
 // --- Native tier ---------------------------------------------------------
 // The same differential contract, with the native tier as the engine under
 // test. Each run tiers up on its first launch (threshold 1), so the
-// generated host code — not the threaded VM — produces the compared
+// generated host code — not the VM — produces the compared
 // pixels whenever a toolchain is present. Without a toolchain the engine
-// must degrade to the threaded VM and still agree, which is exactly what
+// must degrade to the VM and still agree, which is exactly what
 // MissingToolchainStillAgrees pins down.
 
 TEST(NativeDifferentialTest, GaussianAllModesAllExtents) {
@@ -388,7 +388,7 @@ TEST(NativeDifferentialTest, SpecialisedSourcesAllModes) {
 
 TEST(NativeDifferentialTest, MissingToolchainStillAgrees) {
   // On a machine with no host compiler the native engine must silently
-  // degrade to the threaded VM and remain bit-identical to the AST
+  // degrade to the VM and remain bit-identical to the AST
   // interpreter — same pixels, metrics, and modelled time.
   sim::jit::JitCache::Instance().ResetForTesting();
   sim::jit::SetToolchainOverrideForTesting("");

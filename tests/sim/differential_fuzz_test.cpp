@@ -3,13 +3,14 @@
 // generator emits random DSL kernels — convolution masks of random shapes
 // and values (including rank-1 masks that trigger the separable
 // decomposition), static-bound stencil loops with random arithmetic bodies
-// (the native tier's unrolled-fusion path), runtime-bound loops (the
-// per-insn fallback path), divergent if/else bodies, and point-operator
-// chains — across all five boundary modes, odd extents, random codegen
-// variants (pixels-per-thread 1/2/4/8, scratchpad staging, texture paths,
-// constant vs global masks, both backends), then runs every case on all
-// three engines and requires them to be observably indistinguishable:
-// output pixels bit for bit, every metric counter, and the modelled time.
+// (unrolled inside one native segment), runtime-bound loops (native
+// segments joined by runtime branches), divergent if/else bodies, and
+// point-operator chains — across all five boundary modes, odd extents,
+// random codegen variants (pixels-per-thread 1/2/4/8, scratchpad staging,
+// texture paths, constant vs global masks, both backends), then runs every
+// case on all three engines and requires them to be observably
+// indistinguishable: output pixels bit for bit, every metric counter, and
+// the modelled time.
 //
 // Two entry points: a pinned sweep that always runs under ctest (fixed
 // seed, every generator kind), and an env-scaled sweep for CI fuzz jobs —
@@ -30,6 +31,7 @@
 #include "runtime/bindings.hpp"
 #include "runtime/graph.hpp"
 #include "sim/bytecode.hpp"
+#include "sim/jit/toolchain.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 #include "support/rng.hpp"
@@ -64,7 +66,7 @@ struct FuzzCase {
 enum class FuzzKind {
   kConvolution,   ///< random mask shape/values via ConvolutionSource
   kStaticLoop,    ///< literal-bound loop nest, random arithmetic body
-  kRuntimeLoop,   ///< parameter-bound loop nest (native per-insn path)
+  kRuntimeLoop,   ///< parameter-bound loop nest (native runtime loops)
   kPointChain,    ///< straight-line point-operator chain
 };
 constexpr FuzzKind kAllKinds[] = {FuzzKind::kConvolution, FuzzKind::kStaticLoop,
@@ -301,7 +303,7 @@ HostImage<float> RandomInput(int w, int h, Rng& rng) {
 EngineRun RunEngine(const compiler::CompiledKernel& kernel,
                     const HostImage<float>& input,
                     const runtime::BindingSet& scalars,
-                    sim::ExecEngine engine) {
+                    sim::ExecEngine engine, sim::TraceSink* trace = nullptr) {
   EngineRun run;
   dsl::Image<float> in(input.width(), input.height());
   dsl::Image<float> out(input.width(), input.height());
@@ -319,6 +321,7 @@ EngineRun RunEngine(const compiler::CompiledKernel& kernel,
   options.engine = engine;
   options.jit_threshold = 1;  // tier up on the first launch
   sim::Simulator simulator(hw::TeslaC2050(), options);
+  if (trace) simulator.set_trace(trace);
   Result<sim::LaunchStats> stats = simulator.Execute(holder.value().launch);
   if (!stats.ok()) {
     run.status = stats.status();
@@ -370,28 +373,58 @@ void ExpectRunsIdentical(const EngineRun& ref, const EngineRun& other,
 /// the case did not compile (the sweep tracks the rate: a generator change
 /// that drifts into mostly-invalid programs must fail loudly, not silently
 /// shrink coverage).
-bool RunFuzzCase(const FuzzCase& fc, Rng& rng) {
+Result<compiler::CompiledKernel> CompileCase(const FuzzCase& fc) {
   compiler::CompileOptions options;
   options.codegen = fc.codegen;
   options.device = hw::TeslaC2050();
   options.image_width = fc.width;
   options.image_height = fc.height;
   options.forced_config = fc.forced_config;
-  Result<compiler::CompiledKernel> compiled =
-      compiler::Compile(fc.source, options);
-  if (!compiled.ok() || compiled.value().bytecode == nullptr) return false;
+  return compiler::Compile(fc.source, options);
+}
 
-  const HostImage<float> input = RandomInput(fc.width, fc.height, rng);
-  const EngineRun ast = RunEngine(compiled.value(), input, fc.scalars,
-                                  sim::ExecEngine::kAst);
-  const EngineRun vm = RunEngine(compiled.value(), input, fc.scalars,
-                                 sim::ExecEngine::kBytecode);
-  const EngineRun native = RunEngine(compiled.value(), input, fc.scalars,
-                                     sim::ExecEngine::kNative);
+/// Runs a compiled case on all three engines and compares them. With
+/// `require_native`, the native run must also have executed generated code
+/// (tiered up, no launch on the VM) — not silently matched via the VM.
+void RunAllEngines(const compiler::CompiledKernel& kernel,
+                   const HostImage<float>& input, const FuzzCase& fc,
+                   bool require_native) {
+  const EngineRun ast =
+      RunEngine(kernel, input, fc.scalars, sim::ExecEngine::kAst);
+  const EngineRun vm =
+      RunEngine(kernel, input, fc.scalars, sim::ExecEngine::kBytecode);
+  sim::TraceSink trace;
+  const EngineRun native =
+      RunEngine(kernel, input, fc.scalars, sim::ExecEngine::kNative, &trace);
   SCOPED_TRACE(fc.summary);
   ExpectRunsIdentical(ast, vm, "ast vs bytecode");
   ExpectRunsIdentical(ast, native, "ast vs native");
+  if (require_native) {
+    EXPECT_EQ(trace.counter("jit.threaded"), 0);
+    EXPECT_EQ(trace.counter("jit.error"), 0);
+    EXPECT_GE(trace.counter("sim.launch.native"), 1);
+  }
+}
+
+bool RunFuzzCase(const FuzzCase& fc, Rng& rng) {
+  Result<compiler::CompiledKernel> compiled = CompileCase(fc);
+  if (!compiled.ok() || compiled.value().bytecode == nullptr) return false;
+  const HostImage<float> input = RandomInput(fc.width, fc.height, rng);
+  RunAllEngines(compiled.value(), input, fc, /*require_native=*/false);
   return true;
+}
+
+/// Pinned control-flow case: must compile to bytecode and run natively.
+void RunNativeCase(const FuzzCase& fc, const HostImage<float>& input) {
+  Result<compiler::CompiledKernel> compiled = CompileCase(fc);
+  ASSERT_TRUE(compiled.ok()) << fc.summary << ": "
+                             << compiled.status().ToString();
+  ASSERT_NE(compiled.value().bytecode, nullptr) << fc.summary;
+  if (!sim::jit::ToolchainAvailable()) {
+    RunAllEngines(compiled.value(), input, fc, /*require_native=*/false);
+    return;
+  }
+  RunAllEngines(compiled.value(), input, fc, /*require_native=*/true);
 }
 
 std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
@@ -606,6 +639,113 @@ TEST(DifferentialFuzzTest, PinnedFusedArithmeticAgrees) {
     fc.height = 27;
     fc.summary = "bilateral_fixed pinned";
     EXPECT_TRUE(RunFuzzCase(fc, rng));
+  }
+}
+
+// Control-flow anchors for the native emitter's segments: runtime-bounded
+// loops (including zero-trip ones), divergent branches that some warps skip
+// entirely, and static loops nested inside runtime loops and vice versa.
+// Each must run as generated code after tier-up, bit-identical to the VM
+// and the AST interpreter on pixels, metrics and modelled time.
+TEST(DifferentialFuzzTest, PinnedControlFlowRunsNative) {
+  Rng rng(0xC0F1A7u);
+  // sigma_d = -1 gives lo > hi: both loops run zero times.
+  for (const int sigma_d : {-1, 0, 2}) {
+    FuzzCase fc;
+    fc.source = ops::BilateralMaskSource(2, BoundaryMode::kClamp);
+    fc.scalars.Scalar("sigma_d", sigma_d).Scalar("sigma_r", 3);
+    fc.width = 45;
+    fc.height = 23;
+    fc.summary = StrFormat("bilateral_mask sigma_d=%d", sigma_d);
+    RunNativeCase(fc, RandomInput(fc.width, fc.height, rng));
+  }
+
+  // Data-dependent if / else-if: the top rows hold values that satisfy
+  // neither condition, so whole warps skip both branches, while warps
+  // below split between them.
+  {
+    FuzzCase fc;
+    fc.source.name = "cf_if_else";
+    fc.source.params = {{"p0", ScalarType::kFloat}};
+    fc.source.accessors = {FuzzAccessor(3, 3, BoundaryMode::kMirror, 0.0f)};
+    fc.source.body = R"(
+    float v = Input();
+    float acc = p0;
+    if (v > 1.5f) {
+      acc = v * 2.0f + Input(1, 0);
+    } else {
+      if (v < -0.5f) {
+        acc = exp(v) - Input(0, -1);
+      }
+    }
+    output() = acc + v;
+  )";
+    fc.scalars.Scalar("p0", 0.25);
+    fc.width = 70;
+    fc.height = 24;
+    fc.forced_config = hw::KernelConfig{32, 4};
+    fc.summary = "if/else-if with idle warps";
+    HostImage<float> input = RandomInput(fc.width, fc.height, rng);
+    for (int y = 0; y < fc.height / 2; ++y)
+      for (int x = 0; x < fc.width; ++x) input(x, y) = 0.5f * rng.NextFloat();
+    RunNativeCase(fc, input);
+  }
+
+  // A runtime loop inside a static loop, at the top level and again under
+  // a divergent mask (where the static loop stays a loop in the bytecode).
+  {
+    FuzzCase fc;
+    fc.source.name = "cf_runtime_in_static";
+    fc.source.params = {{"r", ScalarType::kInt}};
+    fc.source.accessors = {FuzzAccessor(5, 3, BoundaryMode::kRepeat, 0.0f)};
+    fc.source.body = R"(
+    float acc = 0.0f;
+    for (int k = 0; k <= 2; k++) {
+      for (int xf = -r; xf <= r; xf++) {
+        acc += Input(xf, k - 1) * (k + 1);
+      }
+    }
+    if (Input() > 0.5f) {
+      for (int k = 0; k <= 1; k++) {
+        for (int xf = -r; xf <= r; xf++) {
+          acc -= 0.5f * Input(xf, k);
+        }
+      }
+    }
+    output() = acc;
+  )";
+    for (const int r : {0, 2}) {
+      fc.scalars.Scalar("r", r);
+      fc.width = 37;
+      fc.height = 19;
+      fc.summary = StrFormat("runtime loop in static loop r=%d", r);
+      RunNativeCase(fc, RandomInput(fc.width, fc.height, rng));
+    }
+  }
+
+  // A static loop inside a runtime loop (the inner loop stays a loop in
+  // the bytecode: it runs under the outer loop's iteration mask).
+  {
+    FuzzCase fc;
+    fc.source.name = "cf_static_in_runtime";
+    fc.source.params = {{"r", ScalarType::kInt}};
+    fc.source.accessors = {FuzzAccessor(3, 5, BoundaryMode::kConstant, 0.5f)};
+    fc.source.body = R"(
+    float acc = 0.0f;
+    for (int yf = -r; yf <= r; yf++) {
+      for (int xf = -1; xf <= 1; xf++) {
+        acc += Input(xf, yf) * (xf + 2);
+      }
+    }
+    output() = acc;
+  )";
+    for (const int r : {-1, 1, 2}) {
+      fc.scalars.Scalar("r", r);
+      fc.width = 41;
+      fc.height = 21;
+      fc.summary = StrFormat("static loop in runtime loop r=%d", r);
+      RunNativeCase(fc, RandomInput(fc.width, fc.height, rng));
+    }
   }
 }
 

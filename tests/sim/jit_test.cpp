@@ -1,12 +1,11 @@
 // Native-tier behaviour tests: tiering thresholds, the process-wide module
 // cache (including concurrent exploration lanes sharing one compile),
-// graceful degradation when the host toolchain is missing or broken, and
-// the threaded-VM fallback dispatcher. Output parity across the whole
+// and graceful degradation to the VM when the host toolchain is missing or
+// broken. Output parity across the whole
 // kernel matrix lives in bytecode_test.cpp and differential_fuzz_test.cpp;
 // here the subject is the tiering machinery itself.
 #include <gtest/gtest.h>
 
-#include <climits>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -66,11 +65,13 @@ struct RunResult {
 
 /// One Execute through a fresh launch of `kernel` on `input`. The tier
 /// state lives in kernel.bytecode, so repeated calls with the same kernel
-/// exercise the tiering counters.
+/// exercise the tiering counters. The output pixels are captured even when
+/// the launch fails.
 RunResult RunOnce(const compiler::CompiledKernel& kernel,
                   const HostImage<float>& input,
                   const sim::SimulatorOptions& options,
-                  sim::TraceSink* trace = nullptr) {
+                  sim::TraceSink* trace = nullptr,
+                  bool read_only_output = false) {
   RunResult run;
   dsl::Image<float> in(input.width(), input.height());
   dsl::Image<float> out(input.width(), input.height());
@@ -81,14 +82,16 @@ RunResult RunOnce(const compiler::CompiledKernel& kernel,
       runtime::BuildLaunch(kernel.device_ir, kernel.config.config, bindings);
   HIPACC_CHECK(holder.ok());
   holder.value().launch.programs = kernel.bytecode.get();
+  if (read_only_output)
+    for (sim::BufferBinding& buf : holder.value().launch.buffers)
+      if (buf.name == "_out") buf.writable = false;
   sim::Simulator simulator(hw::TeslaC2050(), options);
   if (trace) simulator.set_trace(trace);
   Result<sim::LaunchStats> stats = simulator.Execute(holder.value().launch);
-  if (!stats.ok()) {
+  if (stats.ok())
+    run.stats = stats.value();
+  else
     run.status = stats.status();
-    return run;
-  }
-  run.stats = stats.value();
   const HostImage<float>& data = out.getData();
   run.output.assign(data.data(), data.data() + data.size());
   return run;
@@ -116,8 +119,10 @@ void ExpectSameOutput(const RunResult& a, const RunResult& b) {
 
 TEST(JitEmitTest, EmittedSourceIsDeterministic) {
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
-  const sim::jit::EmittedSource a = sim::jit::EmitNativeSource(*kernel.bytecode);
-  const sim::jit::EmittedSource b = sim::jit::EmitNativeSource(*kernel.bytecode);
+  const sim::jit::EmittedSource a =
+      sim::jit::EmitNativeSource(*kernel.bytecode).value();
+  const sim::jit::EmittedSource b =
+      sim::jit::EmitNativeSource(*kernel.bytecode).value();
   EXPECT_EQ(a.source, b.source);
   ASSERT_EQ(a.symbols.size(), kernel.bytecode->programs.size());
   // Every region-specialised program gets its own extern "C" symbol.
@@ -155,7 +160,7 @@ TEST(JitTierTest, ThresholdCountsLaunchesBeforeCompiling) {
   const HostImage<float> input = RandomInput(73, 41, rng);
   sim::TraceSink trace;
   const sim::SimulatorOptions options = NativeOptions(3);
-  // Launches 1 and 2 stay on the threaded VM; launch 3 reaches the
+  // Launches 1 and 2 stay on the VM; launch 3 reaches the
   // threshold and compiles; launch 4 hits the installed fast path.
   RunOnce(kernel, input, options, &trace);
   RunOnce(kernel, input, options, &trace);
@@ -170,22 +175,40 @@ TEST(JitTierTest, ThresholdCountsLaunchesBeforeCompiling) {
   EXPECT_EQ(trace.counter("sim.launch.bytecode"), 2);
 }
 
-TEST(JitTierTest, ThreadedVmMatchesSwitchVm) {
-  // A huge threshold pins the computed-goto VM: no toolchain involved, so
-  // this holds in every environment.
+// Bindings are checked once per launch: a launch that stores into a
+// read-only buffer runs on the VM even after tier-up, so it fails with the
+// VM's Status after the VM's partial work instead of at the generated
+// code's entry check.
+TEST(JitTierTest, ReadOnlyOutputFailsLikeTheVm) {
+  if (!sim::jit::ToolchainAvailable())
+    GTEST_SKIP() << "no host toolchain in this environment";
+  sim::jit::JitCache::Instance().ResetForTesting();
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
-  Rng rng(0x33u);
+  Rng rng(0x88u);
   const HostImage<float> input = RandomInput(73, 41, rng);
-  const RunResult vm = RunOnce(kernel, input, sim::SimulatorOptions{});
   sim::TraceSink trace;
-  const RunResult threaded =
-      RunOnce(kernel, input, NativeOptions(INT_MAX), &trace);
-  ExpectSameOutput(vm, threaded);
+  const RunResult warm = RunOnce(kernel, input, NativeOptions(1), &trace);
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  ASSERT_EQ(trace.counter("sim.launch.native"), 1);
+
+  const RunResult vm =
+      RunOnce(kernel, input, sim::SimulatorOptions{}, nullptr, true);
+  const RunResult native =
+      RunOnce(kernel, input, NativeOptions(1), &trace, true);
+  ASSERT_FALSE(vm.status.ok());
+  EXPECT_EQ(vm.status.ToString(), native.status.ToString());
+  EXPECT_NE(native.status.ToString().find("read-only"), std::string::npos)
+      << native.status.ToString();
+  ASSERT_EQ(vm.output.size(), native.output.size());
+  EXPECT_EQ(std::memcmp(vm.output.data(), native.output.data(),
+                        vm.output.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(trace.counter("sim.launch.native"), 1);
+  EXPECT_EQ(trace.counter("sim.launch.bytecode"), 1);
   EXPECT_EQ(trace.counter("jit.threaded"), 1);
-  EXPECT_EQ(trace.counter("jit.compile"), 0);
 }
 
-TEST(JitDegradationTest, MissingToolchainFallsBackToThreadedVm) {
+TEST(JitDegradationTest, MissingToolchainFallsBackToVm) {
   sim::jit::JitCache::Instance().ResetForTesting();
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
   Rng rng(0x44u);
@@ -208,7 +231,7 @@ TEST(JitDegradationTest, MissingToolchainFallsBackToThreadedVm) {
   EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 0u);
 }
 
-TEST(JitDegradationTest, BrokenCompilerFallsBackToThreadedVm) {
+TEST(JitDegradationTest, BrokenCompilerFallsBackToVm) {
   sim::jit::JitCache::Instance().ResetForTesting();
   const compiler::CompiledKernel kernel = CompileGaussian(73, 41);
   Rng rng(0x55u);
