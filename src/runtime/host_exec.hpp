@@ -4,6 +4,14 @@
 // for the pipeline graph runtime (runtime/graph.hpp), where stages only
 // need *values* — the simulator remains the path that also models time.
 //
+// Shared semantics: every instruction means what it means in the
+// simulator's VM, because both run the one lane core of sim/lane_exec.hpp.
+// The VM runs it over a warp under SimModel; this executor runs it over a
+// row chunk (RowLanes: pixels x0 + l, y, every lane active) under NullModel,
+// whose memory-model and metric hooks inline away. What stays here is
+// host-only: the region plan, the lowering with its fused convolution tap,
+// the mask-free loops for mask slot 0, and the chunk widths.
+//
 // Execution model: each output row is cut into x-segments by the kernel's
 // boundary-handling halo — [0, halo_x), [halo_x, W - halo_x), [W - halo_x,
 // W) — and crossed with the same three y-bands, selecting one of the nine
@@ -18,10 +26,10 @@
 // instruction stream, in time linear in the instruction count. Cost-only
 // kAccount / kBarrier instructions are dropped and branch targets
 // renumbered. In programs without branches or loops, every convolution tap
-// — a constant-mask read at literal offsets, an image read at gid+offset
-// (either order), their float kMul (either operand order), and a float
-// `acc += product`, all on mask slot 0 — becomes one multiply-accumulate
-// that reads the float image row directly and computes
+// — a constant-mask read at literal offsets inside the mask, an image read
+// at gid+offset (either order), their float kMul (either operand order),
+// and a float `acc += product`, all on mask slot 0 — becomes one
+// multiply-accumulate that reads the float image row directly and computes
 // `acc = float(float(acc) + coeff * px)`, the VM's per-op float rounding.
 // A tap fuses only when its three temporaries (the two loaded values and
 // the product) are dead afterwards: each is overwritten before any read,
@@ -33,17 +41,18 @@
 // compile-time width; partial chunks (a 510-pixel interior splits
 // 256 + 254) run the same fast paths with a run-time width. Mask slot 0 is
 // the chunk's all-active mask (programs that write it are rejected), so
-// instructions predicated on it run mask-free loops. Lanes use the very
-// same arithmetic helpers as the VM, so outputs are bit-identical to both
-// simulator engines and to the DSL's functional path. The source file is
-// built with -O3 (so those loops vectorise) and -ffp-contract=off (so no
-// multiply-add is contracted into an FMA, which would change rounding).
+// instructions predicated on it run mask-free loops. Outputs are
+// bit-identical to both simulator engines and to the DSL's functional path.
+// The source file is built with -O3 (so those loops vectorise) and
+// -ffp-contract=off (so no multiply-add is contracted into an FMA, which
+// would change rounding).
 //
 // Programs the executor cannot prove equivalent return Unimplemented:
 // scratchpad staging (kLoadShared), texture/hardware boundary handling,
 // thread/block-index dependent values, a write to mask slot 0, or a halo
 // exceeding the image (the degenerate-region case). Callers fall back to
-// the simulator.
+// the simulator. A launch with a missing or read-only binding fails with
+// the simulator's Invalid text. Both happen before any output is written.
 #pragma once
 
 #include "sim/bytecode.hpp"

@@ -1,10 +1,12 @@
-// Per-block execution state shared by the simulator's two execution
-// engines (the AST interpreter and the bytecode VM): warp-lockstep lane
-// values, the thread/global-index context of the current warp, the
-// scratchpad staging phase (Listing 7), and the block-level region dispatch
-// (Figure 3). Both engines drive their warp bodies through this one
-// implementation, so the memory-model call sequence — and therefore every
-// metric the timing model consumes — is identical by construction.
+// Per-block execution state shared by the simulator's three execution
+// engines (the AST interpreter, the bytecode VM and the native tier): the
+// thread/global-index context of the current warp, the scratchpad staging
+// phase (Listing 7), and the block-level region dispatch (Figure 3). All
+// three drive their warp bodies through this one implementation, so the
+// memory-model call sequence — and therefore every metric the timing model
+// consumes — is identical by construction. The interpreter keeps its lane
+// values in WarpVal; the VM and the native tier keep theirs in the flat
+// register layout of the lane core (lane_exec.hpp).
 #pragma once
 
 #include <array>

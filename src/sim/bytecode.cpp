@@ -945,6 +945,30 @@ const Program* ProgramSet::Find(ast::Region region) const {
   return nullptr;
 }
 
+LaunchBindings BindLaunch(const ProgramSet& ps, const Launch& launch) {
+  LaunchBindings bind;
+  for (const std::string& name : ps.buffer_names)
+    bind.buffers.push_back(launch.FindBuffer(name));
+  for (const ProgramSet::MaskRef& ref : ps.const_masks) {
+    const auto it = launch.const_masks.find(ref.name);
+    bind.masks.push_back(LaunchBindings::Mask{
+        it != launch.const_masks.end() ? &it->second : nullptr, ref.width});
+  }
+  for (const Program& prog : ps.programs) {
+    std::vector<double>& seeds = bind.seeds.emplace_back();
+    for (const ParamSeed& p : prog.params)
+      seeds.push_back(p.Value(launch.scalar_args));
+  }
+  return bind;
+}
+
+Status FirstBindingFault(const ProgramSet& ps, const LaunchBindings& bind) {
+  for (const Program& prog : ps.programs)
+    for (const Insn& I : prog.code)
+      HIPACC_RETURN_IF_ERROR(BindingFault(ps, bind, I));
+  return Status::Ok();
+}
+
 Result<std::shared_ptr<const ProgramSet>> CompileToBytecode(
     const ast::DeviceKernel& kernel) {
   Stopwatch sw;

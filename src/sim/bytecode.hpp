@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "ast/kernel_ir.hpp"
+#include "sim/launch.hpp"
 #include "support/status.hpp"
 
 namespace hipacc::sim {
@@ -157,6 +158,49 @@ struct ProgramSet {
 
   const Program* Find(ast::Region region) const;
 };
+
+/// A ProgramSet's name tables bound to one Launch: built once per launch
+/// and shared read-only by every block, chunk and worker that runs it.
+/// Pointers reach into the Launch, which must outlive the table.
+struct LaunchBindings {
+  /// In ProgramSet::buffer_names order; null where the launch binds none.
+  std::vector<const BufferBinding*> buffers;
+  struct Mask {
+    const std::vector<float>* data = nullptr;  ///< null when unbound
+    int width = 1;
+  };
+  /// In ProgramSet::const_masks order.
+  std::vector<Mask> masks;
+  /// Per program (ProgramSet::programs order), ParamSeed::Value of each of
+  /// its parameters.
+  std::vector<std::vector<double>> seeds;
+};
+
+LaunchBindings BindLaunch(const ProgramSet& programs, const Launch& launch);
+
+/// The binding fault executing `insn` hits under `bind`: a load from an
+/// unbound buffer, a store to an unbound or read-only one, or a read of an
+/// unbound constant mask. Ok for every other instruction. The VM checks
+/// lazily, when an instruction is reached; engines that cannot stop part
+/// way check every instruction up front (FirstBindingFault).
+inline Status BindingFault(const ProgramSet& programs,
+                           const LaunchBindings& bind, const Insn& insn) {
+  const std::size_t i = static_cast<std::size_t>(insn.buffer);
+  if (insn.op == Op::kLoadImage && bind.buffers[i] == nullptr)
+    return Status::Invalid("unbound buffer " + programs.buffer_names[i]);
+  if (insn.op == Op::kStore &&
+      (bind.buffers[i] == nullptr || !bind.buffers[i]->writable))
+    return Status::Invalid("write to unbound or read-only buffer " +
+                           programs.buffer_names[i]);
+  if (insn.op == Op::kLoadConst && bind.masks[i].data == nullptr)
+    return Status::Invalid("unbound constant mask " +
+                           programs.const_masks[i].name);
+  return Status::Ok();
+}
+
+/// The first BindingFault of any instruction of any program, or Ok.
+Status FirstBindingFault(const ProgramSet& programs,
+                         const LaunchBindings& bind);
 
 /// Compiles every region variant of `kernel`. Returns Unimplemented for IR
 /// the compiler cannot prove bit-equivalent under the VM — callers fall

@@ -45,7 +45,7 @@ std::string FLit(float v) {
 /// The self-contained prelude shared by every generated TU: bit-literal
 /// constructors, the runtime type conversion, boundary
 /// resolution (textually equivalent to dsl::ResolveBoundaryIndex +
-/// vm.cpp::ResolveCoord), and the RAII metric flusher. ScalarType /
+/// lane_exec.hpp's ResolveCoord), and the RAII metric flusher. ScalarType /
 /// BoundaryMode enum values are baked as integers; the fingerprint pins
 // the encoding so an enum reorder invalidates cached objects.
 const char kPrelude[] = R"jit(
@@ -167,7 +167,8 @@ bool MergeInto(EdgeState* into, const EdgeState& from) {
   return changed;
 }
 
-/// The VM's type-tag update for one instruction (vm.cpp handlers).
+/// The VM's type-tag update for one instruction (the lane core's handlers,
+/// sim/lane_exec.hpp).
 void ApplyTag(const Insn& I, std::vector<int>* ty) {
   switch (I.op) {
     case Op::kConst:

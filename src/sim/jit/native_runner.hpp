@@ -5,26 +5,35 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "hwmodel/device_spec.hpp"
 #include "sim/bytecode.hpp"
+#include "sim/jit/abi.hpp"
 #include "sim/jit/cache.hpp"
 #include "sim/launch.hpp"
 #include "sim/metrics.hpp"
 
 namespace hipacc::sim::jit {
 
-/// Whether every buffer and constant mask the programs touch is bound, and
-/// every stored buffer writable. Bindings are launch constants, so callers
-/// check once per launch: the generated functions test them on entry,
-/// before any side effect, while the VM errors only when an instruction
-/// reaches the binding (after the work before it), so a launch that fails
-/// this check must run on the VM to report the same partial work.
-bool NativeBindingsHold(const ProgramSet& programs, const Launch& launch);
+/// A launch binding table in the generated code's ABI layout, built once
+/// per launch and shared read-only by every block.
+struct NativeTables {
+  std::vector<JitBuffer> buffers;
+  std::vector<JitMaskTable> masks;
+};
 
-/// Executes one thread block through the native warp functions.
+NativeTables MakeNativeTables(const LaunchBindings& bind);
+
+/// Executes one thread block through the native warp functions, with
+/// `bind` = BindLaunch(programs, launch) and `tables` made from it.
 /// `executed_insns` accumulates dispatched instruction counts like the VM.
+/// The generated functions test bindings on entry, before any side effect,
+/// while the VM fails at the first instruction that needs one: callers run
+/// launches with a FirstBindingFault on the VM, to report the same partial
+/// work.
 Status RunBlockNative(const Launch& launch, const ProgramSet& programs,
+                      const LaunchBindings& bind, const NativeTables& tables,
                       const NativeProgram& native,
                       const hw::DeviceSpec& device, int block_x_idx,
                       int block_y_idx, Metrics* metrics,

@@ -3,8 +3,8 @@
 #include <dlfcn.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -76,6 +76,39 @@ std::string DetectCompiler() {
   return detected;
 }
 
+/// A fresh private directory under the platform's temp directory
+/// (std::filesystem::temp_directory_path, which honours $TMPDIR), removed
+/// with everything in it when the workspace goes out of scope. A dlopened
+/// object stays mapped after its file is gone.
+class Workspace {
+ public:
+  Workspace() {
+    std::error_code ec;
+    std::string dir = (std::filesystem::temp_directory_path(ec) /
+                       "hipacc_jit_XXXXXX")
+                          .string();
+    if (!ec && mkdtemp(dir.data()) != nullptr) dir_ = std::move(dir);
+  }
+  ~Workspace() {
+    std::error_code ec;
+    if (!dir_.empty()) std::filesystem::remove_all(dir_, ec);
+  }
+  Workspace(const Workspace&) = delete;
+  Workspace& operator=(const Workspace&) = delete;
+
+  /// Ok when the directory exists.
+  Status status() const {
+    return dir_.empty() ? Status::Internal(
+                              "cannot create a jit workspace in the temp "
+                              "directory")
+                        : Status::Ok();
+  }
+  std::string Path(const std::string& name) const { return dir_ + "/" + name; }
+
+ private:
+  std::string dir_;
+};
+
 }  // namespace
 
 NativeModule::~NativeModule() {
@@ -99,43 +132,27 @@ Result<std::shared_ptr<NativeModule>> CompileSharedObject(
   if (compiler.empty())
     return Status::Unimplemented("no host toolchain for the native tier");
 
-  char dir_template[] = "/tmp/hipacc_jit_XXXXXX";
-  if (!mkdtemp(dir_template))
-    return Status::Internal("mkdtemp failed for jit workspace");
-  const std::string dir = dir_template;
-  const std::string cpp = dir + "/" + tag + ".cpp";
-  const std::string so = dir + "/" + tag + ".so";
-  const std::string log = dir + "/" + tag + ".log";
-
-  auto cleanup = [&] {
-    std::remove(cpp.c_str());
-    std::remove(so.c_str());
-    std::remove(log.c_str());
-    rmdir(dir.c_str());
-  };
-
+  const Workspace ws;
+  HIPACC_RETURN_IF_ERROR(ws.status());
+  const std::string cpp = ws.Path(tag + ".cpp");
+  const std::string so = ws.Path(tag + ".so");
+  const std::string log = ws.Path(tag + ".log");
   {
     std::ofstream out(cpp);
     out << source;
-    if (!out.good()) {
-      cleanup();
+    if (!out.good())
       return Status::Internal("failed to write jit source " + cpp);
-    }
   }
 
   const std::string cmd = "\"" + compiler + "\" " + Flags() + " -o \"" + so +
                           "\" \"" + cpp + "\" > \"" + log + "\" 2>&1";
   const int rc = std::system(cmd.c_str());
   if (rc != 0) {
-    std::string diag;
-    {
-      std::ifstream in(log);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      diag = ss.str();
-      if (diag.size() > 2000) diag.resize(2000);
-    }
-    cleanup();
+    std::ifstream in(log);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    std::string diag = ss.str();
+    if (diag.size() > 2000) diag.resize(2000);
     return Status::Internal(
         StrFormat("jit compile failed (rc=%d) with %s: %s", rc,
                            compiler.c_str(), diag.c_str()));
@@ -149,7 +166,6 @@ Result<std::shared_ptr<NativeModule>> CompileSharedObject(
   }
 
   void* handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
-  cleanup();  // mapping keeps the object alive; nothing left on disk
   if (!handle) {
     const char* err = dlerror();
     return Status::Internal(std::string("dlopen failed: ") +
@@ -160,24 +176,17 @@ Result<std::shared_ptr<NativeModule>> CompileSharedObject(
 
 Result<std::shared_ptr<NativeModule>> OpenSharedObjectBytes(
     const std::string& so_bytes, const std::string& tag) {
-  char dir_template[] = "/tmp/hipacc_jit_XXXXXX";
-  if (!mkdtemp(dir_template))
-    return Status::Internal("mkdtemp failed for jit workspace");
-  const std::string dir = dir_template;
-  const std::string so = dir + "/" + tag + ".so";
+  const Workspace ws;
+  HIPACC_RETURN_IF_ERROR(ws.status());
+  const std::string so = ws.Path(tag + ".so");
   {
     std::ofstream out(so, std::ios::binary);
     out.write(so_bytes.data(),
               static_cast<std::streamsize>(so_bytes.size()));
-    if (!out.good()) {
-      std::remove(so.c_str());
-      rmdir(dir.c_str());
+    if (!out.good())
       return Status::Internal("failed to materialise cached jit object " + so);
-    }
   }
   void* handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
-  std::remove(so.c_str());  // mapping keeps the object alive
-  rmdir(dir.c_str());
   if (!handle) {
     const char* err = dlerror();
     return Status::Internal(std::string("dlopen of cached object failed: ") +

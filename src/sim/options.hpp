@@ -1,6 +1,7 @@
 // Simulator execution-engine selection. The simulator has three
 // functionally identical engines: the tree-walking AST interpreter
-// (interpreter.cpp), the register-based bytecode VM (bytecode.cpp + vm.cpp),
+// (interpreter.cpp), the register-based bytecode VM (bytecode.cpp, the lane
+// core in lane_exec.hpp, and vm.cpp),
 // and the native tier (jit/) which compiles hot register programs to host
 // machine code. The VM is the default; the interpreter remains as the
 // reference semantics, the fallback for programs the bytecode compiler

@@ -44,29 +44,39 @@ const ProgramSet* Simulator::PreparePrograms(const Launch& launch) const {
 
 Simulator::BlockFn Simulator::PrepareBlocks(const Launch& launch) const {
   const ProgramSet* programs = PreparePrograms(launch);
+  if (programs == nullptr) {
+    if (trace_) trace_->IncrementCounter("sim.launch.ast");
+    return [this, &launch](int bx, int by, Metrics* metrics, std::uint64_t*) {
+      return RunBlock(launch, device_, bx, by, metrics);
+    };
+  }
+  // Bindings are launch constants: bound once here and shared read-only by
+  // every block and row worker.
+  LaunchBindings bind = BindLaunch(*programs, launch);
   const jit::NativeProgram* native = nullptr;
-  if (programs && options_.engine == ExecEngine::kNative) {
-    // Bindings are launch constants. Generated code tests them on entry,
-    // before any side effect, while the VM fails at the first instruction
-    // that needs one — so a launch that would fail runs on the VM.
-    if (jit::NativeBindingsHold(*programs, launch))
+  if (options_.engine == ExecEngine::kNative) {
+    // Generated code tests bindings on entry, before any side effect, while
+    // the VM fails at the first instruction that needs one — so a launch
+    // that would fail runs on the VM.
+    if (FirstBindingFault(*programs, bind).ok())
       native = jit::AcquireNative(*programs, options_.jit_threshold, trace_);
     else if (trace_)
       trace_->IncrementCounter("jit.threaded");
   }
   if (trace_)
-    trace_->IncrementCounter(native     ? "sim.launch.native"
-                             : programs ? "sim.launch.bytecode"
-                                        : "sim.launch.ast");
-  return [this, &launch, programs, native](int bx, int by, Metrics* metrics,
-                                           std::uint64_t* insns) {
-    if (native)
-      return jit::RunBlockNative(launch, *programs, *native, device_, bx, by,
-                                 metrics, insns);
-    if (programs)
-      return RunBlockBytecode(launch, *programs, device_, bx, by, metrics,
-                              insns);
-    return RunBlock(launch, device_, bx, by, metrics);
+    trace_->IncrementCounter(native ? "sim.launch.native"
+                                    : "sim.launch.bytecode");
+  if (native)
+    return [this, &launch, programs, native,
+            tables = jit::MakeNativeTables(bind), bind = std::move(bind)](
+               int bx, int by, Metrics* metrics, std::uint64_t* insns) {
+      return jit::RunBlockNative(launch, *programs, bind, tables, *native,
+                                 device_, bx, by, metrics, insns);
+    };
+  return [this, &launch, programs, bind = std::move(bind)](
+             int bx, int by, Metrics* metrics, std::uint64_t* insns) {
+    return RunBlockBytecode(launch, *programs, bind, device_, bx, by, metrics,
+                            insns);
   };
 }
 
@@ -95,10 +105,7 @@ hw::OccupancyResult Simulator::Occupancy(const Launch& launch) const {
   return hw::ComputeOccupancy(device_, launch.config, Resources(launch));
 }
 
-Status Simulator::Validate(const Launch& launch) const {
-  if (!launch.kernel) return Status::Invalid("launch without kernel");
-  if (launch.width <= 0 || launch.height <= 0)
-    return Status::Invalid("empty iteration space");
+Status ValidateBindings(const Launch& launch) {
   for (const auto& buf : launch.kernel->buffers) {
     if (!launch.FindBuffer(buf.name))
       return Status::Invalid("buffer not bound: " + buf.name);
@@ -110,6 +117,14 @@ Status Simulator::Validate(const Launch& launch) const {
     if (static_cast<int>(it->second.size()) != mask.size_x * mask.size_y)
       return Status::Invalid("constant mask size mismatch: " + mask.name);
   }
+  return Status::Ok();
+}
+
+Status Simulator::Validate(const Launch& launch) const {
+  if (!launch.kernel) return Status::Invalid("launch without kernel");
+  if (launch.width <= 0 || launch.height <= 0)
+    return Status::Invalid("empty iteration space");
+  HIPACC_RETURN_IF_ERROR(ValidateBindings(launch));
   const hw::OccupancyResult occ = Occupancy(launch);
   if (!occ.valid)
     return Status::Exhausted(StrFormat(

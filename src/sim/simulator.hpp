@@ -28,6 +28,10 @@ struct LaunchStats {
   bool sampled = false;
 };
 
+/// The binding checks of Simulator::Validate: every buffer and constant
+/// mask `launch.kernel` declares is bound, each mask at its declared size.
+Status ValidateBindings(const Launch& launch);
+
 class Simulator {
  public:
   explicit Simulator(hw::DeviceSpec device,
@@ -75,8 +79,9 @@ class Simulator {
   /// instruction count).
   using BlockFn = std::function<Status(int, int, Metrics*, std::uint64_t*)>;
   /// Picks the engine for one launch — under engine == kNative this tiers
-  /// up and checks the bindings, once per launch — and counts the launch
-  /// under sim.launch.{native,bytecode,ast}.
+  /// up and checks the bindings, once per launch — binds the launch once
+  /// (the returned function owns the table), and counts the launch under
+  /// sim.launch.{native,bytecode,ast}.
   BlockFn PrepareBlocks(const Launch& launch) const;
 
   hw::DeviceSpec device_;

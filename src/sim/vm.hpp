@@ -13,9 +13,11 @@
 namespace hipacc::sim {
 
 /// Executes one thread block through the region-specialised bytecode
-/// program. `executed_insns`, when non-null, accumulates the number of
-/// instructions dispatched (across all warps of the block).
+/// program, with `bind` = BindLaunch(programs, launch). `executed_insns`,
+/// when non-null, accumulates the number of instructions dispatched (across
+/// all warps of the block).
 Status RunBlockBytecode(const Launch& launch, const ProgramSet& programs,
+                        const LaunchBindings& bind,
                         const hw::DeviceSpec& device, int block_x_idx,
                         int block_y_idx, Metrics* metrics,
                         std::uint64_t* executed_insns);

@@ -749,6 +749,42 @@ TEST(DifferentialFuzzTest, PinnedControlFlowRunsNative) {
   }
 }
 
+// Degenerate extents: a single pixel, a single column or row, and extents
+// of exactly twice the halo of a 3x3 or 5x5 window and one less, in every
+// boundary mode, with the nine-region layout and with uniform guards. The
+// regioned launches the simulator rejects must fail alike on all three
+// engines; every other launch must agree bit for bit.
+TEST(DifferentialFuzzTest, PinnedDegenerateExtentsAgree) {
+  struct Extent {
+    int width;
+    int height;
+  };
+  constexpr Extent kDegenerate[] = {{1, 1}, {1, 9}, {9, 1}, {2, 2},
+                                    {4, 4}, {3, 3}, {2, 4}, {4, 3}};
+  Rng rng(0xDE6E4E7Au);
+  int ran = 0;
+  for (const BoundaryMode mode : kAllModes) {
+    for (const int size : {3, 5}) {
+      for (const codegen::BorderPolicy border :
+           {codegen::BorderPolicy::kRegions, codegen::BorderPolicy::kUniform}) {
+        for (const Extent extent : kDegenerate) {
+          FuzzCase fc;
+          fc.source = ops::GaussianSource(size, 1.0f, mode);
+          fc.codegen.border = border;
+          fc.width = extent.width;
+          fc.height = extent.height;
+          fc.summary = StrFormat("gaussian%d mode=%d border=%d %dx%d", size,
+                                 static_cast<int>(mode),
+                                 static_cast<int>(border), extent.width,
+                                 extent.height);
+          if (RunFuzzCase(fc, rng)) ++ran;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ran, 5 * 2 * 2 * 8) << "every degenerate case must compile";
+}
+
 // Pixels-per-thread matrix under a fixed generator seed: the codegen knob
 // with the most layout-sensitive interaction with the fused native body.
 TEST(DifferentialFuzzTest, PptMatrixAgrees) {

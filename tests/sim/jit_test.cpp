@@ -6,8 +6,11 @@
 // here the subject is the tiering machinery itself.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -345,6 +348,59 @@ TEST(JitCacheTest, WarmStartLoadsTheSharedObjectFromDisk) {
   const RunResult native = RunOnce(kernel, input, NativeOptions(1));
   ExpectSameOutput(vm, native);
   EXPECT_EQ(sim::jit::JitCache::Instance().compiles(), 0u);
+}
+
+/// Points $TMPDIR at `dir` for the test's lifetime.
+class TmpdirGuard {
+ public:
+  explicit TmpdirGuard(const std::string& dir) {
+    if (const char* old = std::getenv("TMPDIR")) saved_ = old;
+    setenv("TMPDIR", dir.c_str(), 1);
+  }
+  ~TmpdirGuard() {
+    if (saved_)
+      setenv("TMPDIR", saved_->c_str(), 1);
+    else
+      unsetenv("TMPDIR");
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// The toolchain's scratch files live under the platform temp directory
+// ($TMPDIR), and both the compile and the reopening of cached bytes remove
+// everything they put there.
+TEST(JitToolchainTest, WorkspaceHonoursTmpdirAndLeavesItEmpty) {
+  if (!sim::jit::ToolchainAvailable())
+    GTEST_SKIP() << "no host toolchain in this environment";
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "jit_tmpdir_workspace";
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directories(dir));
+  {
+    TmpdirGuard tmpdir(dir.string());
+    const std::string source =
+        "extern \"C\" int hipacc_workspace_probe() { return 42; }\n";
+    std::string bytes;
+    auto compiled = sim::jit::CompileSharedObject(source, "probe", &bytes);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    EXPECT_FALSE(bytes.empty());
+    EXPECT_TRUE(fs::is_empty(dir));
+    auto reopened = sim::jit::OpenSharedObjectBytes(bytes, "probe");
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(fs::is_empty(dir));
+    using Probe = int (*)();
+    const auto probe = reinterpret_cast<Probe>(
+        reopened.value()->Sym("hipacc_workspace_probe"));
+    ASSERT_NE(probe, nullptr);
+    EXPECT_EQ(probe(), 42);
+
+    // A $TMPDIR that does not exist is an error, not a fallback elsewhere.
+    TmpdirGuard missing((dir / "missing").string());
+    EXPECT_FALSE(sim::jit::OpenSharedObjectBytes(bytes, "probe").ok());
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
